@@ -392,6 +392,9 @@ def run_criterion(cid: int, seed: int = 7) -> CriterionResult:
 
 def run_all(seed: int = 7, only: Optional[Sequence[int]] = None) -> List[CriterionResult]:
     cids = sorted(only) if only else sorted(CRITERIA)
+    unknown = [cid for cid in cids if cid not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criterion id(s) {unknown}; expected {min(CRITERIA)}..{max(CRITERIA)}")
     return [run_criterion(cid, seed) for cid in cids]
 
 

@@ -249,6 +249,8 @@ def theorem_bound_profile(
         refined = True
     if Ns is None:
         Ns = range(1, freq.M)
+    if len(Ns) == 0:
+        raise ValueError(f"empty range of N: {Ns!r}")
     rows = []
     log_gaps = freq.log_gap_values()
     for N in Ns:
@@ -278,34 +280,26 @@ def theorem_bound_profile(
 # abscissa estimators
 
 
+def _log_ratios(lam: np.ndarray, mags: Sequence[float]) -> List[Tuple[int, float]]:
+    """(N, log mags[N-1] / lambda_N) for every N, skipping lambda_N <= 0 and mags[N-1] <= 0."""
+    return [
+        (N, math.log(float(mag)) / float(lam_N))
+        for N, (lam_N, mag) in enumerate(zip(lam, mags), start=1)
+        if not (lam_N <= 0 or mag <= 0)
+    ]
+
+
 def sigma_c_estimate(D: DirichletSeries) -> AbscissaEstimate:
     """Windowed limsup of log |sum_{n<=N} a_n| / lambda_N (convergence)."""
-    lam = D.freq.values
-    csum = np.cumsum(D.coeffs)
-    pairs = []
-    for N in range(1, D.M + 1):
-        if lam[N - 1] <= 0:
-            continue
-        mag = abs(csum[N - 1])
-        if mag == 0:
-            continue
-        pairs.append((N, math.log(mag) / float(lam[N - 1])))
-    return windowed_limsup("sigma_c", pairs)
+    # per-element abs: np.abs over the whole array can differ in the last bit
+    mags = [abs(c) for c in np.cumsum(D.coeffs)]
+    return windowed_limsup("sigma_c", _log_ratios(D.freq.values, mags))
 
 
 def sigma_a_estimate(D: DirichletSeries) -> AbscissaEstimate:
     """Windowed limsup of log (sum_{n<=N} |a_n|) / lambda_N (absolute)."""
-    lam = D.freq.values
-    csum = np.cumsum(np.abs(D.coeffs))
-    pairs = []
-    for N in range(1, D.M + 1):
-        if lam[N - 1] <= 0:
-            continue
-        mag = float(csum[N - 1])
-        if mag == 0:
-            continue
-        pairs.append((N, math.log(mag) / float(lam[N - 1])))
-    return windowed_limsup("sigma_a", pairs)
+    mags = np.cumsum(np.abs(D.coeffs))
+    return windowed_limsup("sigma_a", _log_ratios(D.freq.values, mags))
 
 
 def _partial_sup_profile(D: DirichletSeries, grid: LineGrid) -> np.ndarray:
@@ -333,16 +327,8 @@ def sigma_u_estimate(D: DirichletSeries, grid: LineGrid) -> AbscissaEstimate:
     The sup is a grid max on the sigma = 0 line; it underestimates the true
     sup, so the estimate is a floor for sigma_u on the chosen window.
     """
-    sups = _partial_sup_profile(
-        D, LineGrid(0.0, grid.t_min, grid.t_max, grid.step)
-    )
-    lam = D.freq.values
-    pairs = []
-    for N in range(1, D.M + 1):
-        if lam[N - 1] <= 0 or sups[N - 1] <= 0:
-            continue
-        pairs.append((N, math.log(float(sups[N - 1])) / float(lam[N - 1])))
-    return windowed_limsup("sigma_u", pairs)
+    sups = _partial_sup_profile(D, LineGrid(0.0, grid.t_min, grid.t_max, grid.step))
+    return windowed_limsup("sigma_u", _log_ratios(D.freq.values, sups))
 
 
 def delta_sequence_estimate(
@@ -363,12 +349,7 @@ def delta_sequence_estimate(
     pairs = []
     for j, D in enumerate(family, start=1):
         sups = _partial_sup_profile(D, LineGrid(0.0, grid.t_min, grid.t_max, grid.step))
-        lam = D.freq.values
-        ratios = [
-            math.log(float(sups[N - 1])) / float(lam[N - 1])
-            for N in range(1, D.M + 1)
-            if lam[N - 1] > 0 and sups[N - 1] > 0
-        ]
+        ratios = [r for _, r in _log_ratios(D.freq.values, sups)]
         if not ratios:
             continue
         w = max(1, math.ceil(len(ratios) / 3))

@@ -4,11 +4,17 @@ Layout: ``gdseries COMMAND ACTION [flags]`` with commands {freq, series,
 riesz, bound, abscissa, perron, neder, suite}.  JSON (sorted keys) is the
 canonical output; ``--format csv`` is accepted only for two-column tables
 (profiles, ratio sequences) and for the coefficient file format itself.
-Exit codes: 0 success, 1 failed check in a suite run, 2 usage error.
+Exit codes: 0 success, 1 failed check in a suite run, 2 usage error or bad
+input (``error: ...`` on stderr, nothing on stdout).
 
-The DISPATCH table records which operations each action owns; the test suite
-verifies the ownership is a partition (no operation reachable from two
-actions, none orphaned).
+Each action is declared once, by one ``Action`` entry in the registry below:
+the library operations it owns, its input source (none, a frequency or a
+series), its flags with their defaults, and the function that computes its
+output.  The parser, the handler table ``HANDLERS`` and the ownership map
+``ACTIONS`` are generated from the registry, so adding an action means adding
+one registry entry.  A flag's default is written only in its spec.  The test
+suite checks that the ownership is a partition (no operation reachable from
+two actions, none orphaned).
 """
 
 from __future__ import annotations
@@ -18,866 +24,466 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import acceptance
-from .bounds import (
-    delta_sequence_estimate,
-    hardy_check,
-    kronecker_norm,
-    sigma_a_estimate,
-    sigma_c_estimate,
-    sigma_u_estimate,
-    sn_bound,
-    sn_bound_optimal,
-    theorem_bound_profile,
+from . import acceptance, bounds, frequency, neder, perron, riesz, series
+from .frequency import BUILTIN_KINDS, Frequency
+from .series import DirichletSeries, LineGrid
+
+__all__ = ["ACTIONS", "HANDLERS", "RunConfig", "build_parser", "run", "main"]
+
+# ---------------------------------------------------------------------------
+# flags
+
+Flag = Tuple[str, dict]
+
+
+def _flag(name: str, type: Optional[Callable] = float, default: Any = None, **kw) -> Flag:
+    """One flag: its name and its ``add_argument`` keywords (``type=None`` takes strings)."""
+    if type is not None:
+        kw["type"] = type
+    return name, dict(kw, default=default)
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+# every action takes these
+COMMON = (
+    _flag("--format", None, "json", choices=("json", "csv")),
+    _flag("--out", None, metavar="PATH"),
+    _flag("--seed", int, 7),
+    _flag("--tol-sup", _positive, 1e-4),
+    _flag("--quad-tol", _positive, 1e-8),
+    _flag("--tol-slope", _positive, 1e-3),
+    _flag("--grid-sigma", float, 1e-3),
+    _flag("--grid-t-min", float, 0.0),
+    _flag("--grid-t-max", float, 100.0),
+    _flag("--grid-step", _positive, 0.05),
 )
-from .frequency import (
-    BUILTIN_KINDS,
-    Frequency,
-    check_bc,
-    check_lc,
-    check_poly_growth,
-    estimate_L,
-    make_frequency,
-    read_frequency_file,
-    refine_gaps,
+FREQ_FLAGS = (
+    _flag("--kind", None, "log", choices=BUILTIN_KINDS),
+    _flag("--n", int, 100, help="frequency length M"),
+    _flag("--params", float, nargs="*", help="values for custom-from-list"),
+    _flag("--freq-file", None, metavar="PATH"),
 )
-from .neder import (
-    fejer_identity_residual,
-    fejer_polynomial,
-    fejer_sup,
-    fejer_sup_max,
-    neder_cauchy_check,
-    neder_construct,
-    neder_divergence_check,
+SERIES_FLAGS = FREQ_FLAGS + (
+    _flag("--coeffs", None, "ones", help="builtin coefficient tag"),
+    _flag("--coeffs-file", None, metavar="PATH"),
+    _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON"),
 )
-from .perron import PerronQuery, perron_integral, perron_vs_direct, required_T, tail_bound
-from .riesz import (
-    beta_identity,
-    c_exact,
-    check_abel_integral,
-    check_fractional_identity,
-    paper_constant,
-    proof_integral,
-    riesz_mean,
-    riesz_truncation,
-    riesz_uniform_error,
-    sigma_u_k_estimate,
-    typical_mean_A,
-)
-from .series import (
-    DirichletSeries,
-    LineGrid,
-    builtin_coefficients,
-    coefficient_recover,
-    evaluate,
-    halfplane_norm,
-    line_sup_report,
-    read_coefficients_csv,
-    series_from_descriptor,
-    translate,
-    with_self_reference,
-)
+SOURCES = {None: (), "freq": FREQ_FLAGS, "series": SERIES_FLAGS}
 
-__all__ = ["RunConfig", "DISPATCH", "build_parser", "run", "main"]
-
-# Ownership registry: (command, action) -> operations it exposes.  Exactly
-# one action per operation; the partition is enforced by a test.
-DISPATCH: Dict[Tuple[str, str], Tuple[str, ...]] = {
-    ("freq", "make"): ("frequency.make_frequency", "frequency.read_frequency_file"),
-    ("freq", "check-bc"): ("frequency.check_bc",),
-    ("freq", "check-lc"): ("frequency.check_lc",),
-    ("freq", "check-poly"): ("frequency.check_poly_growth",),
-    ("freq", "density"): ("frequency.estimate_L",),
-    ("freq", "refine"): ("frequency.refine_gaps",),
-    ("series", "eval"): ("series.evaluate", "series.series_from_descriptor"),
-    ("series", "sup"): ("series.line_sup_report", "series.line_sup"),
-    ("series", "norm"): ("series.halfplane_norm",),
-    ("series", "translate"): ("series.translate",),
-    ("series", "recover"): ("series.coefficient_recover",),
-    ("series", "coeffs"): (
-        "series.builtin_coefficients",
-        "series.read_coefficients_csv",
-        "series.write_coefficients_csv",
-    ),
-    ("riesz", "mean"): ("riesz.riesz_mean",),
-    ("riesz", "truncate"): ("riesz.riesz_truncation",),
-    ("riesz", "typical"): ("riesz.typical_mean_A",),
-    ("riesz", "abel"): ("riesz.check_abel_integral",),
-    ("riesz", "fractional"): ("riesz.check_fractional_identity",),
-    ("riesz", "beta"): ("riesz.beta_identity",),
-    ("riesz", "error"): ("riesz.riesz_uniform_error", "series.with_self_reference"),
-    ("riesz", "sigma-u-k"): ("riesz.sigma_u_k_estimate",),
-    ("riesz", "constants"): ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
-    ("bound", "sn"): ("bounds.sn_bound",),
-    ("bound", "sn-opt"): ("bounds.sn_bound_optimal",),
-    ("bound", "profile"): ("bounds.theorem_bound_profile",),
-    ("bound", "hardy"): ("bounds.hardy_check",),
-    ("bound", "kronecker"): ("bounds.kronecker_norm",),
-    ("abscissa", "sigma-c"): ("bounds.sigma_c_estimate",),
-    ("abscissa", "sigma-a"): ("bounds.sigma_a_estimate",),
-    ("abscissa", "sigma-u"): ("bounds.sigma_u_estimate",),
-    ("abscissa", "delta"): ("bounds.delta_sequence_estimate",),
-    ("perron", "eval"): ("perron.perron_integral",),
-    ("perron", "check"): ("perron.perron_vs_direct",),
-    ("perron", "required-t"): ("perron.required_T",),
-    ("perron", "tail"): ("perron.tail_bound",),
-    ("neder", "build"): ("neder.neder_construct",),
-    ("neder", "divergence"): ("neder.neder_divergence_check",),
-    ("neder", "cauchy"): ("neder.neder_cauchy_check",),
-    ("neder", "identity"): ("neder.fejer_identity_residual",),
-    ("neder", "fejer"): ("neder.fejer_polynomial", "neder.fejer_sup", "neder.fejer_sup_max"),
-    ("suite", "acceptance"): ("acceptance.run_all", "acceptance.run_criterion"),
-}
+# flags shared by several actions
+K = _flag("--k", float, required=True)
+X = _flag("--x", float, required=True)
+L = _flag("--l", float, required=True)
+DELTA = _flag("--delta", float, required=True)
+POINT = (_flag("--sigma", float, 0.0), _flag("--t", float, 0.0))
+N_TERMS = _flag("--n-terms", int)
+N_INDEX = _flag("--n-index", int, required=True)
+TAU = _flag("--tau", float, 1e-4)
+VARIANT = _flag("--variant", None, "paper", choices=("paper", "exact"))
+EPSILON = _flag("--epsilon", float, 1.0)
+T_HEIGHT = _flag("--t-height", float, 1e3)
+F_NORM = _flag("--f-norm", float)
+PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step"), F_NORM)
+NEDER = (X, _flag("--r-cap", int), _flag("--point-budget", int, 10_000))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command, action, shared knobs, per-action params."""
-
-    command: str
-    action: str
-    format: str = "json"
-    out: Optional[str] = None
-    seed: int = 7
-    tol_sup: float = 1e-4
-    quad_tol: float = 1e-8
-    tol_slope: float = 1e-3
-    grid_sigma: float = 1e-3
-    grid_t_min: float = 0.0
-    grid_t_max: float = 100.0
-    grid_step: float = 0.05
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("tol_sup", "quad_tol", "tol_slope", "grid_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be > 0")
+class RunConfig(argparse.Namespace):
+    """Parsed invocation: command, action and every flag of the action as an
+    attribute, plus the inputs those flags describe."""
 
     def grid(self) -> LineGrid:
         return LineGrid(self.grid_sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
 
+    def frequency(self) -> Frequency:
+        if self.freq_file:
+            return frequency.read_frequency_file(self.freq_file)
+        return frequency.make_frequency(self.kind, self.n, self.params)
 
-_COMMON_KEYS = {
-    "command",
-    "action",
-    "format",
-    "out",
-    "seed",
-    "tol_sup",
-    "quad_tol",
-    "tol_slope",
-    "grid_sigma",
-    "grid_t_min",
-    "grid_t_max",
-    "grid_step",
-}
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    ns = vars(args)
-    params = {k: v for k, v in ns.items() if k not in _COMMON_KEYS}
-    return RunConfig(
-        command=ns["command"],
-        action=ns["action"],
-        format=ns.get("format", "json"),
-        out=ns.get("out"),
-        seed=ns.get("seed", 7),
-        tol_sup=ns.get("tol_sup", 1e-4),
-        quad_tol=ns.get("quad_tol", 1e-8),
-        tol_slope=ns.get("tol_slope", 1e-3),
-        grid_sigma=ns.get("grid_sigma", 1e-3),
-        grid_t_min=ns.get("grid_t_min", 0.0),
-        grid_t_max=ns.get("grid_t_max", 100.0),
-        grid_step=ns.get("grid_step", 0.05),
-        params=params,
-    )
+    def series(self) -> DirichletSeries:
+        if self.descriptor:
+            return series.series_from_descriptor(self.descriptor, seed=self.seed)
+        freq = self.frequency()
+        if self.coeffs_file:
+            coeffs = series.read_coefficients_csv(self.coeffs_file)
+        else:
+            coeffs = series.builtin_coefficients(self.coeffs, freq.M, self.seed)
+        return DirichletSeries(freq, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# input resolution
+# compute functions for the actions that need more than one call.  Each
+# returns a payload (a dict, or a report with ``to_dict``) or a
+# ``(payload, CSV table)`` pair.
 
-
-def _frequency_from(cfg: RunConfig) -> Frequency:
-    p = cfg.params
-    if p.get("freq_file"):
-        return read_frequency_file(p["freq_file"])
-    return make_frequency(p.get("kind", "log"), p.get("n", 100), p.get("params"))
-
-
-def _series_from(cfg: RunConfig) -> DirichletSeries:
-    p = cfg.params
-    if p.get("descriptor"):
-        return series_from_descriptor(p["descriptor"], seed=cfg.seed)
-    freq = _frequency_from(cfg)
-    if p.get("coeffs_file"):
-        coeffs = read_coefficients_csv(p["coeffs_file"])
-    else:
-        coeffs = builtin_coefficients(p.get("coeffs", "ones"), freq.M, cfg.seed)
-    return DirichletSeries(freq, coeffs)
+Table = Optional[Tuple[Tuple[str, ...], List[tuple]]]
 
 
 def _pairs(vals: complex) -> List[float]:
     return [float(vals.real), float(vals.imag)]
 
 
-def _head(values: Sequence[float], limit: int = 12) -> List[float]:
-    return [float(v) for v in values[:limit]]
+def _with_values(payload: dict, values) -> Tuple[dict, Table]:
+    """The payload with the first twelve frequency values; all of them as the table."""
+    payload["head"] = [float(v) for v in values[:12]]
+    return payload, (("index", "lambda"), [(n, float(v)) for n, v in enumerate(values, start=1)])
 
 
-# ---------------------------------------------------------------------------
-# handlers: each returns (payload, optional csv table (header, rows))
+def _with_coeffs(payload: dict, coeffs) -> Tuple[dict, Table]:
+    """The payload with the first eight coefficients, if any; all of them as the table."""
+    if len(coeffs):
+        payload["coefficientsHead"] = [_pairs(c) for c in coeffs[:8]]
+    return payload, (("index", "re", "im"), [(n, c.real, c.imag) for n, c in enumerate(coeffs, start=1)])
 
-Table = Optional[Tuple[Tuple[str, ...], List[tuple]]]
-Handler = Callable[[RunConfig], Tuple[dict, Table]]
+
+def _with_ratios(est) -> Tuple[dict, Table]:
+    """An estimate with its (index, ratio) pairs as the table."""
+    return est.to_dict(), (("index", "ratio"), list(est.ratios))
 
 
-def _h_freq_make(cfg: RunConfig):
-    freq = _frequency_from(cfg)
+def _freq_make(cfg):
+    freq = cfg.frequency()
     gaps = freq.gaps
-    payload = {
-        **freq.to_dict(),
-        "head": _head(freq.values),
-        "minGap": float(np.min(gaps)) if gaps.size else None,
-        "maxGap": float(np.max(gaps)) if gaps.size else None,
-    }
-    rows = [(n, float(v)) for n, v in enumerate(freq.values, start=1)]
-    return payload, (("index", "lambda"), rows)
+    lo, hi = (float(np.min(gaps)), float(np.max(gaps))) if gaps.size else (None, None)
+    return _with_values({**freq.to_dict(), "minGap": lo, "maxGap": hi}, freq.values)
 
 
-def _h_freq_check_bc(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    rep = check_bc(freq, cfg.params["l"], cfg.params["delta"], cfg.tol_slope)
-    return rep.to_dict(), None
+def _freq_refine(cfg):
+    freq = cfg.frequency()
+    fine = frequency.refine_gaps(freq)
+    max_gap = float(np.max(fine.gaps)) if fine.M > 1 else None
+    return _with_values({"before": freq.M, "after": fine.M, "maxGapAfter": max_gap}, fine.values)
 
 
-def _h_freq_check_lc(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    rep = check_lc(freq, cfg.params["delta"], cfg.tol_slope)
-    return rep.to_dict(), None
+def _series_eval(cfg):
+    D = cfg.series()
+    s = complex(cfg.sigma, cfg.t)
+    N = cfg.n_terms
+    value = series.evaluate(D, s, N)
+    return {"s": _pairs(s), "terms": N if N is not None else D.M, "value": _pairs(value)}
 
 
-def _h_freq_check_poly(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    rep = check_poly_growth(freq, cfg.params["l"], cfg.params["d"], cfg.params["delta"], cfg.tol_slope)
-    return rep.to_dict(), None
+def _series_translate(cfg):
+    s0 = complex(cfg.sigma, cfg.t)
+    shifted = series.translate(cfg.series(), s0)
+    return _with_coeffs({"s0": _pairs(s0), "M": shifted.M}, shifted.coeffs)
 
 
-def _h_freq_density(cfg: RunConfig):
-    est = estimate_L(_frequency_from(cfg))
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
-
-
-def _h_freq_refine(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    fine = refine_gaps(freq)
-    payload = {
-        "before": freq.M,
-        "after": fine.M,
-        "head": _head(fine.values),
-        "maxGapAfter": float(np.max(fine.gaps)) if fine.M > 1 else None,
-    }
-    rows = [(n, float(v)) for n, v in enumerate(fine.values, start=1)]
-    return payload, (("index", "lambda"), rows)
-
-
-def _h_series_eval(cfg: RunConfig):
-    D = _series_from(cfg)
-    s = complex(cfg.params.get("sigma", 0.0), cfg.params.get("t", 0.0))
-    N = cfg.params.get("n_terms")
-    val = evaluate(D, s, N)
-    return {"s": _pairs(s), "terms": N if N is not None else D.M, "value": _pairs(val)}, None
-
-
-def _h_series_sup(cfg: RunConfig):
-    D = _series_from(cfg)
-    rep = line_sup_report(D, cfg.params.get("n_terms"), cfg.grid(), cfg.tol_sup)
-    return rep.to_dict(), None
-
-
-def _h_series_norm(cfg: RunConfig):
-    D = _series_from(cfg)
-    rep = halfplane_norm(
-        D,
-        t_min=cfg.grid_t_min,
-        t_max=cfg.grid_t_max,
-        step=cfg.grid_step,
-        sigma_min=cfg.grid_sigma,
-        levels=cfg.params.get("levels", 8),
-        tol_sup=cfg.tol_sup,
-    )
-    return rep.to_dict(), None
-
-
-def _h_series_translate(cfg: RunConfig):
-    D = _series_from(cfg)
-    s0 = complex(cfg.params.get("sigma", 0.0), cfg.params.get("t", 0.0))
-    shifted = translate(D, s0)
-    payload = {
-        "s0": _pairs(s0),
-        "M": shifted.M,
-        "coefficientsHead": [_pairs(c) for c in shifted.coeffs[:8]],
-    }
-    rows = [(n, c.real, c.imag) for n, c in enumerate(shifted.coeffs, start=1)]
-    return payload, (("index", "re", "im"), rows)
-
-
-def _h_series_recover(cfg: RunConfig):
-    D = with_self_reference(_series_from(cfg))
-    n = cfg.params["n_index"]
-    got = coefficient_recover(
-        D, n, cfg.params.get("sigma", 1.0), cfg.params.get("t_height", 1e4), cfg.grid_step
-    )
+def _series_recover(cfg):
+    D = series.with_self_reference(cfg.series())
+    n = cfg.n_index
+    got = series.coefficient_recover(D, n, cfg.sigma, cfg.t_height, cfg.grid_step)
     actual = complex(D.coeffs[n - 1])
-    return {
-        "n": n,
-        "recovered": _pairs(got),
-        "actual": _pairs(actual),
-        "residual": abs(got - actual),
-    }, None
+    return {"n": n, "recovered": _pairs(got), "actual": _pairs(actual), "residual": abs(got - actual)}
 
 
-def _h_series_coeffs(cfg: RunConfig):
-    D = _series_from(cfg)
-    payload = {
-        "M": D.M,
-        "tag": cfg.params.get("coeffs", "ones"),
-        "coefficientsHead": [_pairs(c) for c in D.coeffs[:8]],
-        "absSum": D.abs_sum(0.0),
-    }
-    rows = [(n, c.real, c.imag) for n, c in enumerate(D.coeffs, start=1)]
-    return payload, (("index", "re", "im"), rows)
+def _series_coeffs(cfg):
+    D = cfg.series()
+    return _with_coeffs({"M": D.M, "tag": cfg.coeffs, "absSum": D.abs_sum(0.0)}, D.coeffs)
 
 
-def _h_riesz_mean(cfg: RunConfig):
-    D = _series_from(cfg)
-    s = complex(cfg.params.get("sigma", 0.0), cfg.params.get("t", 0.0))
-    val = riesz_mean(D, cfg.params["k"], cfg.params["x"], s)
-    return {"k": cfg.params["k"], "x": cfg.params["x"], "s": _pairs(s), "value": _pairs(val)}, None
+def _riesz_mean(cfg):
+    s = complex(cfg.sigma, cfg.t)
+    value = riesz.riesz_mean(cfg.series(), cfg.k, cfg.x, s)
+    return {"k": cfg.k, "x": cfg.x, "s": _pairs(s), "value": _pairs(value)}
 
 
-def _h_riesz_truncate(cfg: RunConfig):
-    D = _series_from(cfg)
-    trunc = riesz_truncation(D, cfg.params["k"], cfg.params["x"])
+def _riesz_truncate(cfg):
+    trunc = riesz.riesz_truncation(cfg.series(), cfg.k, cfg.x)
     if trunc is None:
-        return {"terms": 0, "empty": True}, (("index", "re", "im"), [])
-    payload = {
-        "terms": trunc.M,
-        "empty": False,
-        "coefficientsHead": [_pairs(c) for c in trunc.coeffs[:8]],
-    }
-    rows = [(n, c.real, c.imag) for n, c in enumerate(trunc.coeffs, start=1)]
-    return payload, (("index", "re", "im"), rows)
+        return _with_coeffs({"terms": 0, "empty": True}, ())
+    return _with_coeffs({"terms": trunc.M, "empty": False}, trunc.coeffs)
 
 
-def _h_riesz_typical(cfg: RunConfig):
-    D = _series_from(cfg)
-    w = complex(cfg.params.get("sigma", 0.0), cfg.params.get("t", 0.0))
-    val = typical_mean_A(D, cfg.params["k"], w, cfg.params["x"])
-    return {"k": cfg.params["k"], "x": cfg.params["x"], "w": _pairs(w), "value": _pairs(val)}, None
+def _riesz_typical(cfg):
+    w = complex(cfg.sigma, cfg.t)
+    value = riesz.typical_mean_A(cfg.series(), cfg.k, w, cfg.x)
+    return {"k": cfg.k, "x": cfg.x, "w": _pairs(w), "value": _pairs(value)}
 
 
-def _h_riesz_abel(cfg: RunConfig):
-    D = _series_from(cfg)
-    resid = check_abel_integral(D, cfg.params["k"], cfg.params["x"], cfg.quad_tol)
-    return {"k": cfg.params["k"], "x": cfg.params["x"], "residual": resid, "tol": cfg.quad_tol}, None
+def _riesz_abel(cfg):
+    resid = riesz.check_abel_integral(cfg.series(), cfg.k, cfg.x, cfg.quad_tol)
+    return {"k": cfg.k, "x": cfg.x, "residual": resid, "tol": cfg.quad_tol}
 
 
-def _h_riesz_fractional(cfg: RunConfig):
-    D = _series_from(cfg)
-    resid = check_fractional_identity(
-        D, cfg.params["k"], cfg.params["t_point"], cfg.params.get("tau", 1e-4), cfg.quad_tol
-    )
-    return {
-        "k": cfg.params["k"],
-        "t": cfg.params["t_point"],
-        "tau": cfg.params.get("tau", 1e-4),
-        "residual": resid,
-        "tol": cfg.quad_tol,
-    }, None
+def _riesz_fractional(cfg):
+    resid = riesz.check_fractional_identity(cfg.series(), cfg.k, cfg.t_point, cfg.tau, cfg.quad_tol)
+    return {"k": cfg.k, "t": cfg.t_point, "tau": cfg.tau, "residual": resid, "tol": cfg.quad_tol}
 
 
-def _h_riesz_beta(cfg: RunConfig):
-    lhs, rhs = beta_identity(cfg.params["alpha"], cfg.params["beta"], cfg.quad_tol)
-    return {
-        "alpha": cfg.params["alpha"],
-        "beta": cfg.params["beta"],
-        "quadrature": lhs,
-        "gammaRatio": rhs,
-        "difference": abs(lhs - rhs),
-    }, None
+def _riesz_beta(cfg):
+    lhs, rhs = riesz.beta_identity(cfg.alpha, cfg.beta, cfg.quad_tol)
+    diff = abs(lhs - rhs)
+    return {"alpha": cfg.alpha, "beta": cfg.beta, "quadrature": lhs, "gammaRatio": rhs, "difference": diff}
 
 
-def _h_riesz_error(cfg: RunConfig):
-    D = _series_from(cfg)
-    if cfg.params.get("self_reference", True):
-        D = with_self_reference(D)
-    err = riesz_uniform_error(D, cfg.params["k"], cfg.params["sigma"], cfg.params["x"], cfg.grid())
-    return {
-        "k": cfg.params["k"],
-        "sigma": cfg.params["sigma"],
-        "x": cfg.params["x"],
-        "error": err,
-    }, None
+def _riesz_error(cfg):
+    D = series.with_self_reference(cfg.series()) if cfg.self_reference else cfg.series()
+    err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid())
+    return {"k": cfg.k, "sigma": cfg.sigma, "x": cfg.x, "error": err}
 
 
-def _h_riesz_sigma_u_k(cfg: RunConfig):
-    D = _series_from(cfg)
-    est = sigma_u_k_estimate(D, cfg.params["k"], cfg.params["xs"], cfg.grid(), cfg.tol_sup)
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
+def _riesz_constants(cfg):
+    k = cfg.k
+    exact, paper, integral = riesz.c_exact(k), riesz.paper_constant(k), riesz.proof_integral(k)
+    return {"k": k, "exact": exact, "paper": paper, "proofIntegral": integral}
 
 
-def _h_riesz_constants(cfg: RunConfig):
-    k = cfg.params.get("k", 1.0)
-    return {
-        "k": k,
-        "exact": c_exact(k),
-        "paper": paper_constant(k),
-        "proofIntegral": proof_integral(k),
-    }, None
-
-
-def _h_bound_sn(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    b = sn_bound(freq, cfg.params["n_index"], cfg.params["k"], cfg.params.get("variant", "paper"))
-    return b.to_dict(), None
-
-
-def _h_bound_sn_opt(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    b = sn_bound_optimal(freq, cfg.params["n_index"], cfg.params.get("variant", "paper"))
-    return b.to_dict(), None
-
-
-def _h_bound_profile(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    regime = cfg.params["regime"]
-    params = {}
-    if cfg.params.get("delta") is not None:
-        params["delta"] = cfg.params["delta"]
-    if cfg.params.get("d") is not None:
-        params["d"] = cfg.params["d"]
+def _bound_profile(cfg):
+    freq = cfg.frequency()
+    params = {key: v for key, v in (("delta", cfg.delta), ("d", cfg.d)) if v is not None}
     Ns = None
-    if cfg.params.get("n_start") is not None:
-        Ns = range(
-            cfg.params["n_start"],
-            cfg.params.get("n_stop") or freq.M,
-            cfg.params.get("n_step") or 1,
-        )
-    prof = theorem_bound_profile(freq, regime, params, Ns=Ns, variant=cfg.params.get("variant", "paper"))
+    if cfg.n_start is not None:
+        Ns = range(cfg.n_start, cfg.n_stop or freq.M, cfg.n_step or 1)
+    prof = bounds.theorem_bound_profile(freq, cfg.regime, params, Ns=Ns, variant=cfg.variant)
     return prof.to_dict(), (("N", "ratio"), list(prof.csv_rows()))
 
 
-def _h_bound_hardy(cfg: RunConfig):
-    D = _series_from(cfg)
-    lhs, rhs = hardy_check(D, cfg.params["n_index"], cfg.params["k"])
-    return {
-        "N": cfg.params["n_index"],
-        "k": cfg.params["k"],
-        "lhs": lhs,
-        "rhs": rhs,
-        "satisfied": lhs <= rhs + 1e-12,
-    }, None
+def _bound_hardy(cfg):
+    lhs, rhs = bounds.hardy_check(cfg.series(), cfg.n_index, cfg.k)
+    return {"N": cfg.n_index, "k": cfg.k, "lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs + 1e-12}
 
 
-def _h_bound_kronecker(cfg: RunConfig):
-    D = _series_from(cfg)
-    return kronecker_norm(D).to_dict(), None
-
-
-def _h_abscissa_sigma_c(cfg: RunConfig):
-    est = sigma_c_estimate(_series_from(cfg))
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
-
-
-def _h_abscissa_sigma_a(cfg: RunConfig):
-    est = sigma_a_estimate(_series_from(cfg))
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
-
-
-def _h_abscissa_sigma_u(cfg: RunConfig):
-    est = sigma_u_estimate(_series_from(cfg), cfg.grid())
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
-
-
-def _h_abscissa_delta(cfg: RunConfig):
-    freq = _frequency_from(cfg)
-    count = cfg.params.get("count", 8)
+def _abscissa_delta(cfg):
+    freq = cfg.frequency()
     family = [
-        DirichletSeries(freq, builtin_coefficients("seeded-normal", freq.M, cfg.seed + j))
-        for j in range(count)
+        DirichletSeries(freq, series.builtin_coefficients("seeded-normal", freq.M, cfg.seed + j))
+        for j in range(cfg.count)
     ]
-    est = delta_sequence_estimate(family, cfg.grid())
-    return est.to_dict(), (("index", "ratio"), [(i, r) for i, r in est.ratios])
+    return _with_ratios(bounds.delta_sequence_estimate(family, cfg.grid()))
 
 
-def _perron_query(cfg: RunConfig) -> PerronQuery:
-    return PerronQuery(
-        x=cfg.params["x"],
-        k=cfg.params["k"],
-        epsilon=cfg.params.get("epsilon", 1.0),
-        T=cfg.params.get("t_height", 1e3),
-        step=cfg.params.get("step") or cfg.grid_step,
-    )
+def _perron(cfg, op):
+    """``op(series, query)`` with the query and norm flags of ``cfg``."""
+    step = cfg.step or cfg.grid_step
+    query = perron.PerronQuery(x=cfg.x, k=cfg.k, epsilon=cfg.epsilon, T=cfg.t_height, step=step)
+    return op(cfg.series(), query, f_norm=cfg.f_norm, quad_tol=cfg.quad_tol)
 
 
-def _h_perron_eval(cfg: RunConfig):
-    D = _series_from(cfg)
-    res = perron_integral(D, _perron_query(cfg), f_norm=cfg.params.get("f_norm"), quad_tol=cfg.quad_tol)
-    return res.to_dict(), None
+def _f_norm(cfg) -> float:
+    return cfg.f_norm if cfg.f_norm is not None else cfg.series().abs_sum(0.0)
 
 
-def _h_perron_check(cfg: RunConfig):
-    D = _series_from(cfg)
-    comp = perron_vs_direct(D, _perron_query(cfg), f_norm=cfg.params.get("f_norm"), quad_tol=cfg.quad_tol)
-    return comp.to_dict(), None
+def _perron_required_t(cfg):
+    k, x, eps, f_norm = cfg.k, cfg.x, cfg.epsilon, _f_norm(cfg)
+    T = perron.required_T(k, x, eps, f_norm, cfg.tau)
+    tail = perron.tail_bound(k, x, eps, f_norm, T)
+    return {"k": k, "x": x, "epsilon": eps, "fNorm": f_norm, "tol": cfg.tau, "T": T, "tailAtT": tail}
 
 
-def _h_perron_required_t(cfg: RunConfig):
-    f_norm = cfg.params.get("f_norm")
-    if f_norm is None:
-        f_norm = _series_from(cfg).abs_sum(0.0)
-    k, x, eps = cfg.params["k"], cfg.params["x"], cfg.params.get("epsilon", 1.0)
-    tau = cfg.params.get("tau", 1e-4)
-    T = required_T(k, x, eps, f_norm, tau)
-    return {
-        "k": k,
-        "x": x,
-        "epsilon": eps,
-        "fNorm": f_norm,
-        "tol": tau,
-        "T": T,
-        "tailAtT": tail_bound(k, x, eps, f_norm, T),
-    }, None
+def _perron_tail(cfg):
+    k, x, eps, f_norm, T = cfg.k, cfg.x, cfg.epsilon, _f_norm(cfg), cfg.t_height
+    tail = perron.tail_bound(k, x, eps, f_norm, T)
+    return {"k": k, "x": x, "epsilon": eps, "fNorm": f_norm, "T": T, "tail": tail}
 
 
-def _h_perron_tail(cfg: RunConfig):
-    f_norm = cfg.params.get("f_norm")
-    if f_norm is None:
-        f_norm = _series_from(cfg).abs_sum(0.0)
-    k, x, eps = cfg.params["k"], cfg.params["x"], cfg.params.get("epsilon", 1.0)
-    T = cfg.params.get("t_height", 1e3)
-    return {"k": k, "x": x, "epsilon": eps, "fNorm": f_norm, "T": T, "tail": tail_bound(k, x, eps, f_norm, T)}, None
+def _neder(cfg):
+    return neder.neder_construct(cfg.frequency(), cfg.x, r_cap=cfg.r_cap, point_budget=cfg.point_budget)
 
 
-def _neder_from(cfg: RunConfig):
-    base = _frequency_from(cfg)
-    return neder_construct(
-        base,
-        cfg.params["x"],
-        r_cap=cfg.params.get("r_cap"),
-        point_budget=cfg.params.get("point_budget", 10_000),
-    )
-
-
-def _h_neder_build(cfg: RunConfig):
-    c = _neder_from(cfg)
+def _neder_build(cfg):
+    c = _neder(cfg)
     rows = [(float(v), float(w.real)) for v, w in zip(c.eta.values, c.coeffs)]
     return c.to_dict(), (("eta", "coefficient"), rows)
 
 
-def _h_neder_divergence(cfg: RunConfig):
-    c = _neder_from(cfg)
-    rows = neder_divergence_check(c)
-    payload = {
-        "x": c.x,
-        "rows": [r.to_dict() for r in rows],
-        "allUncappedPass": all(r.passed for r in rows if not r.exempt),
-    }
-    return payload, None
+def _neder_divergence(cfg):
+    c = _neder(cfg)
+    rows = neder.neder_divergence_check(c)
+    passed = all(r.passed for r in rows if not r.exempt)
+    return {"x": c.x, "rows": [r.to_dict() for r in rows], "allUncappedPass": passed}
 
 
-def _h_neder_cauchy(cfg: RunConfig):
-    c = _neder_from(cfg)
-    observed, bound = neder_cauchy_check(
-        c, cfg.params.get("k_low", 1), cfg.params.get("k_high", 3), cfg.grid()
-    )
-    return {
-        "kLow": cfg.params.get("k_low", 1),
-        "kHigh": cfg.params.get("k_high", 3),
-        "observed": observed,
-        "bound": bound,
-        "satisfied": observed <= bound + 1e-9,
-    }, None
+def _neder_cauchy(cfg):
+    observed, bound = neder.neder_cauchy_check(_neder(cfg), cfg.k_low, cfg.k_high, cfg.grid())
+    ok = observed <= bound + 1e-9
+    return {"kLow": cfg.k_low, "kHigh": cfg.k_high, "observed": observed, "bound": bound, "satisfied": ok}
 
 
-def _h_neder_identity(cfg: RunConfig):
-    c = _neder_from(cfg)
+def _neder_identity(cfg):
+    c = _neder(cfg)
     rng = np.random.default_rng(cfg.seed)
-    count = cfg.params.get("samples", 10)
-    s_values = [complex(rng.uniform(0.05, 1.0), rng.uniform(-10.0, 10.0)) for _ in range(count)]
-    resid = fejer_identity_residual(c, cfg.params.get("k_prefix", 3), s_values)
-    return {"kPrefix": cfg.params.get("k_prefix", 3), "samples": count, "residual": resid}, None
+    s_values = [complex(rng.uniform(0.05, 1.0), rng.uniform(-10.0, 10.0)) for _ in range(cfg.samples)]
+    resid = neder.fejer_identity_residual(c, cfg.k_prefix, s_values)
+    return {"kPrefix": cfg.k_prefix, "samples": cfg.samples, "residual": resid}
 
 
-def _h_neder_fejer(cfg: RunConfig):
-    m = cfg.params.get("m", 3)
-    poly = fejer_polynomial(m)
+def _neder_fejer(cfg):
     return {
-        "m": m,
-        "coefficients": [float(v) for v in poly.coeffs],
-        "sup": fejer_sup(m),
-        "supMax64": fejer_sup_max(64),
-    }, None
+        "m": cfg.m,
+        "coefficients": [float(v) for v in neder.fejer_polynomial(cfg.m).coeffs],
+        "sup": neder.fejer_sup(cfg.m),
+        "supMax64": neder.fejer_sup_max(64),
+    }
 
 
-def _h_suite_acceptance(cfg: RunConfig):
-    only = cfg.params.get("only") or None
-    results = acceptance.run_all(cfg.seed, only)
+def _suite_acceptance(cfg):
+    results = acceptance.run_all(cfg.seed, cfg.only or None)
     print(acceptance.format_table(results), file=sys.stderr)
-    criteria = []
-    for r in results:
-        d = r.to_dict()
-        d.pop("elapsedSeconds", None)  # timings vary; JSON must not
-        criteria.append(d)
+    # timings vary; the JSON must not
+    criteria = [{k: v for k, v in r.to_dict().items() if k != "elapsedSeconds"} for r in results]
     failed = sum(not r.passed for r in results)
-    return {
-        "seed": cfg.seed,
-        "criteria": criteria,
-        "passed": len(results) - failed,
-        "failed": failed,
-    }, None
-
-
-HANDLERS: Dict[Tuple[str, str], Handler] = {
-    ("freq", "make"): _h_freq_make,
-    ("freq", "check-bc"): _h_freq_check_bc,
-    ("freq", "check-lc"): _h_freq_check_lc,
-    ("freq", "check-poly"): _h_freq_check_poly,
-    ("freq", "density"): _h_freq_density,
-    ("freq", "refine"): _h_freq_refine,
-    ("series", "eval"): _h_series_eval,
-    ("series", "sup"): _h_series_sup,
-    ("series", "norm"): _h_series_norm,
-    ("series", "translate"): _h_series_translate,
-    ("series", "recover"): _h_series_recover,
-    ("series", "coeffs"): _h_series_coeffs,
-    ("riesz", "mean"): _h_riesz_mean,
-    ("riesz", "truncate"): _h_riesz_truncate,
-    ("riesz", "typical"): _h_riesz_typical,
-    ("riesz", "abel"): _h_riesz_abel,
-    ("riesz", "fractional"): _h_riesz_fractional,
-    ("riesz", "beta"): _h_riesz_beta,
-    ("riesz", "error"): _h_riesz_error,
-    ("riesz", "sigma-u-k"): _h_riesz_sigma_u_k,
-    ("riesz", "constants"): _h_riesz_constants,
-    ("bound", "sn"): _h_bound_sn,
-    ("bound", "sn-opt"): _h_bound_sn_opt,
-    ("bound", "profile"): _h_bound_profile,
-    ("bound", "hardy"): _h_bound_hardy,
-    ("bound", "kronecker"): _h_bound_kronecker,
-    ("abscissa", "sigma-c"): _h_abscissa_sigma_c,
-    ("abscissa", "sigma-a"): _h_abscissa_sigma_a,
-    ("abscissa", "sigma-u"): _h_abscissa_sigma_u,
-    ("abscissa", "delta"): _h_abscissa_delta,
-    ("perron", "eval"): _h_perron_eval,
-    ("perron", "check"): _h_perron_check,
-    ("perron", "required-t"): _h_perron_required_t,
-    ("perron", "tail"): _h_perron_tail,
-    ("neder", "build"): _h_neder_build,
-    ("neder", "divergence"): _h_neder_divergence,
-    ("neder", "cauchy"): _h_neder_cauchy,
-    ("neder", "identity"): _h_neder_identity,
-    ("neder", "fejer"): _h_neder_fejer,
-    ("suite", "acceptance"): _h_suite_acceptance,
-}
+    return {"seed": cfg.seed, "criteria": criteria, "passed": len(results) - failed, "failed": failed}
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the registry
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol-sup", type=float, default=1e-4)
-    p.add_argument("--quad-tol", type=float, default=1e-8)
-    p.add_argument("--tol-slope", type=float, default=1e-3)
-    p.add_argument("--grid-sigma", type=float, default=1e-3)
-    p.add_argument("--grid-t-min", type=float, default=0.0)
-    p.add_argument("--grid-t-max", type=float, default=100.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
-    return p
+@dataclass(frozen=True)
+class Action:
+    """One ``COMMAND ACTION``: the library operations it owns, its input
+    source (None, "freq" or "series"), its own flags and its compute function.
+    Compute functions look library functions up through their modules when
+    they run, so a wrapper later put on a library function is called."""
+
+    command: str
+    name: str
+    source: Optional[str]
+    ops: Tuple[str, ...]
+    flags: Tuple[Flag, ...]
+    compute: Callable[[RunConfig], Any]
 
 
-def _freq_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--kind", choices=BUILTIN_KINDS, default="log")
-    p.add_argument("--n", type=int, default=100, help="frequency length M")
-    p.add_argument("--params", type=float, nargs="*", help="values for custom-from-list")
-    p.add_argument("--freq-file", metavar="PATH")
-    return p
+COMMANDS = {
+    "freq": "frequency construction and gap conditions",
+    "series": "evaluation, sups, norms, coefficients",
+    "riesz": "Riesz means and integral identities",
+    "bound": "partial-sum bounds and norms",
+    "abscissa": "convergence abscissa estimators",
+    "perron": "truncated Perron inversion",
+    "neder": "divergent-series counterexample builder",
+    "suite": "acceptance checks",
+}
+
+_REGISTRY = (
+    Action("freq", "make", "freq", ("frequency.make_frequency", "frequency.read_frequency_file"),
+           (), _freq_make),
+    Action("freq", "check-bc", "freq", ("frequency.check_bc",), (L, DELTA),
+           lambda cfg: frequency.check_bc(cfg.frequency(), cfg.l, cfg.delta, cfg.tol_slope)),
+    Action("freq", "check-lc", "freq", ("frequency.check_lc",), (DELTA,),
+           lambda cfg: frequency.check_lc(cfg.frequency(), cfg.delta, cfg.tol_slope)),
+    Action("freq", "check-poly", "freq", ("frequency.check_poly_growth",),
+           (L, _flag("--d", float, required=True), DELTA),
+           lambda cfg: frequency.check_poly_growth(cfg.frequency(), cfg.l, cfg.d, cfg.delta, cfg.tol_slope)),
+    Action("freq", "density", "freq", ("frequency.estimate_L",), (),
+           lambda cfg: _with_ratios(frequency.estimate_L(cfg.frequency()))),
+    Action("freq", "refine", "freq", ("frequency.refine_gaps",), (), _freq_refine),
+    Action("series", "eval", "series", ("series.evaluate", "series.series_from_descriptor"),
+           POINT + (N_TERMS,), _series_eval),
+    Action("series", "sup", "series", ("series.line_sup_report",), (N_TERMS,),
+           lambda cfg: series.line_sup_report(cfg.series(), cfg.n_terms, cfg.grid(), cfg.tol_sup)),
+    Action("series", "norm", "series", ("series.halfplane_norm",), (_flag("--levels", int, 8),),
+           lambda cfg: series.halfplane_norm(cfg.series(), cfg.grid_t_min, cfg.grid_t_max, cfg.grid_step,
+                                             cfg.grid_sigma, cfg.levels, cfg.tol_sup)),
+    Action("series", "translate", "series", ("series.translate",), POINT, _series_translate),
+    Action("series", "recover", "series", ("series.coefficient_recover",),
+           (N_INDEX, _flag("--sigma", float, 1.0), _flag("--t-height", float, 1e4)), _series_recover),
+    Action("series", "coeffs", "series",
+           ("series.builtin_coefficients", "series.read_coefficients_csv", "series.write_coefficients_csv"),
+           (), _series_coeffs),
+    Action("riesz", "mean", "series", ("riesz.riesz_mean",), (K, X) + POINT, _riesz_mean),
+    Action("riesz", "truncate", "series", ("riesz.riesz_truncation",), (K, X), _riesz_truncate),
+    Action("riesz", "typical", "series", ("riesz.typical_mean_A",), (K, X) + POINT, _riesz_typical),
+    Action("riesz", "abel", "series", ("riesz.check_abel_integral",), (K, X), _riesz_abel),
+    Action("riesz", "fractional", "series", ("riesz.check_fractional_identity",),
+           (K, _flag("--t-point", float, required=True), TAU), _riesz_fractional),
+    Action("riesz", "beta", None, ("riesz.beta_identity",),
+           (_flag("--alpha", float, required=True), _flag("--beta", float, required=True)), _riesz_beta),
+    Action("riesz", "error", "series", ("riesz.riesz_uniform_error", "series.with_self_reference"),
+           (K, X, _flag("--sigma", float, 0.5),
+            _flag("--self-reference", None, True, action=argparse.BooleanOptionalAction)), _riesz_error),
+    Action("riesz", "sigma-u-k", "series", ("riesz.sigma_u_k_estimate",),
+           (K, _flag("--xs", float, required=True, nargs="+")),
+           lambda cfg: _with_ratios(
+               riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(), cfg.tol_sup))),
+    Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
+           (_flag("--k", float, 1.0),), _riesz_constants),
+    Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
+           lambda cfg: bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant)),
+    Action("bound", "sn-opt", "freq", ("bounds.sn_bound_optimal",), (N_INDEX, VARIANT),
+           lambda cfg: bounds.sn_bound_optimal(cfg.frequency(), cfg.n_index, cfg.variant)),
+    Action("bound", "profile", "freq", ("bounds.theorem_bound_profile",),
+           (_flag("--regime", None, required=True, choices=("bc", "lc", "poly")),
+            _flag("--delta"), _flag("--d"), VARIANT,
+            _flag("--n-start", int), _flag("--n-stop", int), _flag("--n-step", int)),
+           _bound_profile),
+    Action("bound", "hardy", "series", ("bounds.hardy_check",), (N_INDEX, K), _bound_hardy),
+    Action("bound", "kronecker", "series", ("bounds.kronecker_norm",), (),
+           lambda cfg: bounds.kronecker_norm(cfg.series())),
+    Action("abscissa", "sigma-c", "series", ("bounds.sigma_c_estimate",), (),
+           lambda cfg: _with_ratios(bounds.sigma_c_estimate(cfg.series()))),
+    Action("abscissa", "sigma-a", "series", ("bounds.sigma_a_estimate",), (),
+           lambda cfg: _with_ratios(bounds.sigma_a_estimate(cfg.series()))),
+    Action("abscissa", "sigma-u", "series", ("bounds.sigma_u_estimate",), (),
+           lambda cfg: _with_ratios(bounds.sigma_u_estimate(cfg.series(), cfg.grid()))),
+    Action("abscissa", "delta", "freq", ("bounds.delta_sequence_estimate",), (_flag("--count", int, 8),),
+           _abscissa_delta),
+    Action("perron", "eval", "series", ("perron.perron_integral",), PERRON,
+           lambda cfg: _perron(cfg, perron.perron_integral)),
+    Action("perron", "check", "series", ("perron.perron_vs_direct",), PERRON,
+           lambda cfg: _perron(cfg, perron.perron_vs_direct)),
+    Action("perron", "required-t", "series", ("perron.required_T",), (X, K, EPSILON, TAU, F_NORM),
+           _perron_required_t),
+    Action("perron", "tail", "series", ("perron.tail_bound",), (X, K, EPSILON, T_HEIGHT, F_NORM),
+           _perron_tail),
+    Action("neder", "build", "freq", ("neder.neder_construct",), NEDER, _neder_build),
+    Action("neder", "divergence", "freq", ("neder.neder_divergence_check",), NEDER, _neder_divergence),
+    Action("neder", "cauchy", "freq", ("neder.neder_cauchy_check",),
+           NEDER + (_flag("--k-low", int, 1), _flag("--k-high", int, 3)), _neder_cauchy),
+    Action("neder", "identity", "freq", ("neder.fejer_identity_residual",),
+           NEDER + (_flag("--k-prefix", int, 3), _flag("--samples", int, 10)), _neder_identity),
+    Action("neder", "fejer", None, ("neder.fejer_polynomial", "neder.fejer_sup", "neder.fejer_sup_max"),
+           (_flag("--m", int, 3),), _neder_fejer),
+    Action("suite", "acceptance", None, ("acceptance.run_all", "acceptance.run_criterion"),
+           (_flag("--only", int, nargs="*", help="criterion ids to run"),), _suite_acceptance),
+)
+ACTIONS: Dict[Tuple[str, str], Action] = {(a.command, a.name): a for a in _REGISTRY}
 
 
-def _series_parent() -> argparse.ArgumentParser:
-    p = _freq_parent()
-    p.add_argument("--coeffs", default="ones", help="builtin coefficient tag")
-    p.add_argument("--coeffs-file", metavar="PATH")
-    p.add_argument("--descriptor", metavar="PATH", help="series descriptor JSON")
-    return p
+# ---------------------------------------------------------------------------
+# generated from the registry: handlers and parser
+
+# ``run`` looks handlers up here at call time, so a wrapper put into this dict
+# (a profiler, say) sees every invocation.
+HANDLERS: Dict[Tuple[str, str], Callable[[RunConfig], Any]] = {
+    key: a.compute for key, a in ACTIONS.items()
+}
+
+
+def _flag_parser(flags: Sequence[Flag]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    for name, kw in flags:
+        parser.add_argument(name, **kw)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parent()
-    freq_src = _freq_parent()
-    series_src = _series_parent()
-
     parser = argparse.ArgumentParser(prog="gdseries", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def action(cmd_sub, name, *parents, **kwargs):
-        return cmd_sub.add_parser(name, parents=list(parents), **kwargs)
-
-    freq = commands.add_parser("freq", help="frequency construction and gap conditions")
-    fa = freq.add_subparsers(dest="action", metavar="ACTION")
-    action(fa, "make", common, freq_src)
-    p = action(fa, "check-bc", common, freq_src)
-    p.add_argument("--l", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p = action(fa, "check-lc", common, freq_src)
-    p.add_argument("--delta", type=float, required=True)
-    p = action(fa, "check-poly", common, freq_src)
-    p.add_argument("--l", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    action(fa, "density", common, freq_src)
-    action(fa, "refine", common, freq_src)
-
-    series = commands.add_parser("series", help="evaluation, sups, norms, coefficients")
-    sa = series.add_subparsers(dest="action", metavar="ACTION")
-    p = action(sa, "eval", common, series_src)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--n-terms", type=int)
-    p = action(sa, "sup", common, series_src)
-    p.add_argument("--n-terms", type=int)
-    p = action(sa, "norm", common, series_src)
-    p.add_argument("--levels", type=int, default=8)
-    p = action(sa, "translate", common, series_src)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p = action(sa, "recover", common, series_src)
-    p.add_argument("--n-index", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t-height", type=float, default=1e4)
-    action(sa, "coeffs", common, series_src)
-
-    riesz = commands.add_parser("riesz", help="Riesz means and integral identities")
-    ra = riesz.add_subparsers(dest="action", metavar="ACTION")
-    p = action(ra, "mean", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p = action(ra, "truncate", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p = action(ra, "typical", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p = action(ra, "abel", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p = action(ra, "fractional", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--t-point", type=float, required=True)
-    p.add_argument("--tau", type=float, default=1e-4)
-    p = action(ra, "beta", common)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p = action(ra, "error", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--self-reference", action=argparse.BooleanOptionalAction, default=True)
-    p = action(ra, "sigma-u-k", common, series_src)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--xs", type=float, nargs="+", required=True)
-    p = action(ra, "constants", common)
-    p.add_argument("--k", type=float, default=1.0)
-
-    bound = commands.add_parser("bound", help="partial-sum bounds and norms")
-    ba = bound.add_subparsers(dest="action", metavar="ACTION")
-    p = action(ba, "sn", common, freq_src)
-    p.add_argument("--n-index", type=int, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--variant", choices=("paper", "exact"), default="paper")
-    p = action(ba, "sn-opt", common, freq_src)
-    p.add_argument("--n-index", type=int, required=True)
-    p.add_argument("--variant", choices=("paper", "exact"), default="paper")
-    p = action(ba, "profile", common, freq_src)
-    p.add_argument("--regime", choices=("bc", "lc", "poly"), required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--variant", choices=("paper", "exact"), default="paper")
-    p.add_argument("--n-start", type=int)
-    p.add_argument("--n-stop", type=int)
-    p.add_argument("--n-step", type=int)
-    p = action(ba, "hardy", common, series_src)
-    p.add_argument("--n-index", type=int, required=True)
-    p.add_argument("--k", type=float, required=True)
-    action(ba, "kronecker", common, series_src)
-
-    absc = commands.add_parser("abscissa", help="convergence abscissa estimators")
-    aa = absc.add_subparsers(dest="action", metavar="ACTION")
-    action(aa, "sigma-c", common, series_src)
-    action(aa, "sigma-a", common, series_src)
-    action(aa, "sigma-u", common, series_src)
-    p = action(aa, "delta", common, freq_src)
-    p.add_argument("--count", type=int, default=8)
-
-    perron = commands.add_parser("perron", help="truncated Perron inversion")
-    pa = perron.add_subparsers(dest="action", metavar="ACTION")
-    for name in ("eval", "check"):
-        p = action(pa, name, common, series_src)
-        p.add_argument("--x", type=float, required=True)
-        p.add_argument("--k", type=float, required=True)
-        p.add_argument("--epsilon", type=float, default=1.0)
-        p.add_argument("--t-height", type=float, default=1e3)
-        p.add_argument("--step", type=float)
-        p.add_argument("--f-norm", type=float)
-    p = action(pa, "required-t", common, series_src)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1e-4)
-    p.add_argument("--f-norm", type=float)
-    p = action(pa, "tail", common, series_src)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--t-height", type=float, default=1e3)
-    p.add_argument("--f-norm", type=float)
-
-    neder = commands.add_parser("neder", help="divergent-series counterexample builder")
-    na = neder.add_subparsers(dest="action", metavar="ACTION")
-    for name in ("build", "divergence", "cauchy", "identity"):
-        p = action(na, name, common, freq_src)
-        p.add_argument("--x", type=float, required=True)
-        p.add_argument("--r-cap", type=int)
-        p.add_argument("--point-budget", type=int, default=10_000)
-        if name == "cauchy":
-            p.add_argument("--k-low", type=int, default=1)
-            p.add_argument("--k-high", type=int, default=3)
-        if name == "identity":
-            p.add_argument("--k-prefix", type=int, default=3)
-            p.add_argument("--samples", type=int, default=10)
-    p = action(na, "fejer", common)
-    p.add_argument("--m", type=int, default=3)
-
-    suite = commands.add_parser("suite", help="acceptance checks")
-    ua = suite.add_subparsers(dest="action", metavar="ACTION")
-    p = action(ua, "acceptance", common)
-    p.add_argument("--only", type=int, nargs="*", help="criterion ids to run")
-
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    actions = {
+        name: commands.add_parser(name, help=help).add_subparsers(
+            dest="action", metavar="ACTION", required=True
+        )
+        for name, help in COMMANDS.items()
+    }
+    # shared flags are built once and copied into each action's parser
+    common = _flag_parser(COMMON)
+    parents = {source: [common, _flag_parser(flags)] for source, flags in SOURCES.items()}
+    for a in ACTIONS.values():
+        sub = actions[a.command].add_parser(a.name, parents=parents[a.source])
+        for name, kw in a.flags:
+            sub.add_argument(name, **kw)
     return parser
 
 
@@ -908,46 +514,32 @@ def _render_csv(table) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv, namespace=RunConfig())
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    if getattr(args, "action", None) is None:
-        print(f"error: {args.command} needs an action", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        cfg = _config_from(args)
-        payload, table = HANDLERS[(cfg.command, cfg.action)](cfg)
+        out = HANDLERS[(cfg.command, cfg.action)](cfg)
+        payload, table = out if isinstance(out, tuple) else (out, None)
+        if not isinstance(payload, dict):
+            payload = payload.to_dict()
         if cfg.format == "csv":
             if table is None:
                 raise ValueError(f"{cfg.command} {cfg.action} has no CSV form (JSON only)")
             text = _render_csv(table)
         else:
             text = _render_json(payload)
-        _emit(text, cfg.out)
-    except ValueError as exc:
+        if cfg.out:
+            with open(cfg.out, "w") as fp:
+                fp.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.command == "suite" and payload.get("failed", 0) > 0:
-        return 1
-    return 0
+    return 1 if cfg.command == "suite" and payload["failed"] > 0 else 0
 
 
 def main() -> None:

@@ -418,8 +418,12 @@ def refine_gaps(freq: Frequency) -> Frequency:
         gap = b - a
         if gap > 1.0:
             l = math.ceil(gap)
-            if l >= 3:
-                out.extend(float(a) + j for j in range(1, l - 1))
+            for j in range(1, l - 1):
+                step = float(a) + j
+                # a + j can round up across a power of two; stay within 1
+                while step - out[-1] > 1.0:
+                    step = math.nextafter(step, -math.inf)
+                out.append(step)
             last = out[-1]
             if b - last > 1.0:
                 out.append((last + float(b)) / 2.0)

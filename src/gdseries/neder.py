@@ -315,6 +315,8 @@ def fejer_identity_residual(c: NederConstruction, K: int, s_values: Sequence[com
     Direct summation of the eta terms against the Fejer-evaluation form; the
     two are the same numbers regrouped, so the residual is pure rounding.
     """
+    if len(s_values) == 0:
+        raise ValueError("need at least one sample point")
     vals, coeffs = _partial_series(c, K)
     worst = 0.0
     for s in s_values:

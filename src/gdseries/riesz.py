@@ -29,7 +29,7 @@ from scipy.special import gammaln
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency
-from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, line_sup_report
+from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, evaluate, line_sup_report
 
 __all__ = [
     "RieszParams",
@@ -67,17 +67,8 @@ def riesz_mean(D: DirichletSeries, k: float, x: float, s: complex = 0j) -> compl
     Strict inequality: a term with lambda_n = x is excluded.  k = 0 reduces to
     the partial sum over lambda_n < x.
     """
-    RieszParams(k, x)
-    lam = D.freq.values
-    mask = lam < x
-    if not mask.any():
-        return 0j
-    lamm = lam[mask]
-    terms = D.coeffs[mask] * np.power(1.0 - lamm / x, k) * np.exp(-lamm * complex(s))
-    total = 0j
-    for t in terms:
-        total += t
-    return complex(total)
+    trunc = riesz_truncation(D, k, x)
+    return 0j if trunc is None else evaluate(trunc, s)
 
 
 def riesz_truncation(D: DirichletSeries, k: float, x: float) -> Optional[DirichletSeries]:

@@ -35,7 +35,6 @@ __all__ = [
     "SupReport",
     "NormReport",
     "evaluate",
-    "line_sup",
     "line_sup_report",
     "halfplane_norm",
     "translate",
@@ -123,19 +122,10 @@ def _check_N(D: DirichletSeries, N: Optional[int]) -> int:
     return N
 
 
-def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None, kahan: bool = False) -> complex:
+def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex:
     """Partial sum S_N(D)(s) = sum_{n<=N} a_n e^{-lambda_n s}, summed in index order."""
     N = _check_N(D, N)
     terms = D.coeffs[:N] * np.exp(-D.freq.values[:N] * complex(s))
-    if kahan:
-        total = 0j
-        comp = 0j
-        for t in terms:
-            y = t - comp
-            tmp = total + y
-            comp = (tmp - total) - y
-            total = tmp
-        return complex(total)
     total = 0j
     for t in terms:
         total += t
@@ -213,17 +203,6 @@ def line_sup_report(
     # certificate must never fall below the observed lower bound
     upper = max(upper, best)
     return SupReport(best, upper, t_best, step, rounds)
-
-
-def line_sup(
-    D: DirichletSeries,
-    N: Optional[int],
-    grid: LineGrid,
-    tol_sup: float = 1e-4,
-    max_rounds: int = 10,
-) -> float:
-    """Grid max of |S_N| on the line; a lower bound of the true sup."""
-    return line_sup_report(D, N, grid, tol_sup, max_rounds).value
 
 
 @dataclass(frozen=True)

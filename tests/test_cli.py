@@ -1,10 +1,13 @@
+import hashlib
 import importlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from gdseries.cli import DISPATCH, HANDLERS, run
+from gdseries.cli import ACTIONS, HANDLERS, run
 
 # one fast, known-good invocation per (command, action)
 ARGV = {
@@ -51,10 +54,18 @@ ARGV = {
 }
 
 
+# SHA-256 of stdout for every ARGV case as JSON, and as CSV for the actions
+# that have a table, with certifiedUpper values masked (a certificate may be
+# tightened without changing anything else).  Recorded with numpy 2.4.6 and
+# scipy 1.17.1 on x86-64; a mismatch means the CLI's output bytes changed.
+DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
+_CERT = re.compile(r'("certifiedUpper": )[^,\n}]+')
+
+
 def test_every_operation_has_exactly_one_subcommand():
     seen = {}
-    for key, ops in DISPATCH.items():
-        for op in ops:
+    for key, entry in ACTIONS.items():
+        for op in entry.ops:
             assert op not in seen, f"{op} owned by both {seen[op]} and {key}"
             seen[op] = key
     for op in seen:
@@ -64,8 +75,12 @@ def test_every_operation_has_exactly_one_subcommand():
 
 
 def test_handlers_cover_dispatch_exactly():
-    assert set(HANDLERS) == set(DISPATCH)
-    assert set(ARGV) == set(DISPATCH)
+    assert set(HANDLERS) == set(ACTIONS)
+    assert set(ARGV) == set(ACTIONS)
+
+
+def _digest(out: str) -> str:
+    return hashlib.sha256(_CERT.sub(r"\1*", out).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key", sorted(ARGV), ids=lambda k: f"{k[0]}-{k[1]}")
@@ -73,6 +88,19 @@ def test_action_runs_and_emits_json(key, capsys):
     assert run(ARGV[key]) == 0
     out = capsys.readouterr().out
     json.loads(out)  # canonical JSON on stdout
+    assert _digest(out) == DIGESTS[f"{key[0]}-{key[1]} json"]
+
+
+@pytest.mark.parametrize("key", sorted(ARGV), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_csv_bytes_match_recorded_digest(key, capsys):
+    want = DIGESTS.get(f"{key[0]}-{key[1]} csv")
+    code = run(ARGV[key] + ["--format", "csv"])
+    out = capsys.readouterr().out
+    if want is None:  # JSON-only action
+        assert (code, out) == (2, "")
+    else:
+        assert code == 0
+        assert _digest(out) == want
 
 
 def test_check_bc_reports_evidence_for_log_frequency(capsys):
@@ -110,19 +138,33 @@ def test_seeded_coefficients_follow_the_seed(capsys):
     assert first != other
 
 
+def _assert_exit_2(argv, capsys):
+    assert run(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert "error:" in captured.err, argv
+
+
 def test_usage_errors_exit_2(capsys):
-    assert run([]) == 2
-    assert run(["frq"]) == 2
-    assert run(["freq"]) == 2
-    assert run(["freq", "make", "--bogus"]) == 2
-    capsys.readouterr()
+    for argv in (
+        [],
+        ["frq"],
+        ["freq"],
+        ["freq", "make", "--bogus"],
+        ["suite", "acceptance", "--only", "99"],
+    ):
+        _assert_exit_2(argv, capsys)
 
 
 def test_domain_errors_exit_2(capsys):
-    assert run(["bound", "sn", "--kind", "linear", "--n", "5", "--n-index", "0", "--k", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert run(["freq", "density", "--kind", "log", "--n", "20", "--tol-sup", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["bound", "sn", "--kind", "linear", "--n", "5", "--n-index", "0", "--k", "1"],
+        ["freq", "density", "--kind", "log", "--n", "20", "--tol-sup", "0"],
+        ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
+        ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "-1"],
+        ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "70"],
+    ):
+        _assert_exit_2(argv, capsys)
 
 
 def test_csv_format_for_two_column_tables(capsys):

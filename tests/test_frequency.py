@@ -136,6 +136,17 @@ def test_refine_gaps_caps_every_gap_and_keeps_input(gap_list):
     assert np.allclose(fine.values[pos], freq.values, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [[16383.363038312678, 16385.63282502644], [131071.95902647606, 131073.9755541116]],
+)
+def test_refine_gaps_unit_steps_stay_within_one_across_a_power_of_two(pair):
+    # here a + 1 crosses 2^14 (2^17) and rounds up; every gap must still be <= 1
+    fine = refine_gaps(Frequency(pair))
+    assert np.max(np.diff(fine.values)) <= 1.0
+    assert fine.values[0] == pair[0] and fine.values[-1] == pair[1]
+
+
 def test_refine_gaps_noop_when_already_fine():
     freq = make_frequency("log", 30)
     fine = refine_gaps(freq)

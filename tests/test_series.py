@@ -56,12 +56,6 @@ def test_evaluate_partial_sum_prefix():
     assert abs(full - head - np.exp(-0.5 * 9)) < 1e-14
 
 
-def test_evaluate_kahan_matches_plain():
-    D = geometric(50)
-    s = 0.01 + 3.0j
-    assert abs(evaluate(D, s, kahan=True) - evaluate(D, s)) < 1e-10
-
-
 def test_evaluate_rejects_bad_N():
     D = geometric(5)
     with pytest.raises(ValueError):
