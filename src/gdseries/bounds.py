@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid
+from .series import DirichletSeries, LineGrid, _phase_blocks
 
 __all__ = [
     "SnBound",
@@ -224,7 +224,7 @@ def theorem_bound_profile(
     freq: Frequency,
     regime: str,
     params: Optional[Dict[str, float]] = None,
-    Ns: Optional[Sequence[int]] = None,
+    Ns: Union[Sequence[int], slice, None] = None,
     variant: str = "paper",
     auto_refine: bool = True,
 ) -> ProfileReport:
@@ -237,6 +237,7 @@ def theorem_bound_profile(
 
     Frequencies with a gap above 1 are refined first (``auto_refine``), since
     the bound is monotone under gap refinement while the envelope is not.
+    ``Ns`` may be a slice; a missing start or step is 1, a missing stop the refined M.
     """
     params = dict(params or {})
     if regime == "lc" and "delta" not in params:
@@ -248,7 +249,9 @@ def theorem_bound_profile(
         freq = refine_gaps(freq)
         refined = True
     if Ns is None:
-        Ns = range(1, freq.M)
+        Ns = slice(None)
+    if isinstance(Ns, slice):
+        Ns = range(1 if Ns.start is None else Ns.start, Ns.stop or freq.M, Ns.step or 1)
     if len(Ns) == 0:
         raise ValueError(f"empty range of N: {Ns!r}")
     rows = []
@@ -308,15 +311,11 @@ def _partial_sup_profile(D: DirichletSeries, grid: LineGrid) -> np.ndarray:
     One pass over the grid with a cumulative sum along the coefficient axis;
     entry N-1 is the sup for the length-N partial sum.
     """
-    ts = grid.points()
     lam = D.freq.values
     amp = D.coeffs * np.exp(-lam * grid.sigma)
     sups = np.zeros(D.M)
-    chunk = max(1, (1 << 21) // max(1, D.M))
-    for start in range(0, ts.size, chunk):
-        tt = ts[start : start + chunk]
-        terms = np.exp(-1j * np.outer(tt, lam)) * amp[None, :]
-        csum = np.cumsum(terms, axis=1)
+    for _, phase in _phase_blocks(1j * grid.points(), lam):
+        csum = np.cumsum(phase * amp, axis=1)
         np.maximum(sups, np.abs(csum).max(axis=0), out=sups)
     return sups
 

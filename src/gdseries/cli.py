@@ -242,9 +242,7 @@ def _riesz_constants(cfg):
 def _bound_profile(cfg):
     freq = cfg.frequency()
     params = {key: v for key, v in (("delta", cfg.delta), ("d", cfg.d)) if v is not None}
-    Ns = None
-    if cfg.n_start is not None:
-        Ns = range(cfg.n_start, cfg.n_stop or freq.M, cfg.n_step or 1)
+    Ns = slice(cfg.n_start, cfg.n_stop, cfg.n_step)
     prof = bounds.theorem_bound_profile(freq, cfg.regime, params, Ns=Ns, variant=cfg.variant)
     return prof.to_dict(), (("N", "ratio"), list(prof.csv_rows()))
 

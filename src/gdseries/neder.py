@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid, _eval_line
+from .series import DirichletSeries, LineGrid, _eval_line, evaluate
 
 __all__ = [
     "FejerPolynomial",
@@ -303,10 +303,12 @@ def neder_divergence_check(c: NederConstruction) -> List[DivergenceRow]:
     return rows
 
 
-def _partial_series(c: NederConstruction, K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(eta values, coeffs) of the K-block partial construction D^K."""
-    mask = c.point_block <= K
-    return c.eta.values[mask], c.coeffs[mask]
+def _blocks(c: NederConstruction, lo: int, hi: int) -> Optional[DirichletSeries]:
+    """Eta terms of blocks lo < k <= hi, or None; block ids start at 0, so D^K is (-1, K)."""
+    mask = (c.point_block > lo) & (c.point_block <= hi)
+    if not mask.any():
+        return None
+    return DirichletSeries(Frequency(c.eta.values[mask], generator="neder:partial"), c.coeffs[mask])
 
 
 def fejer_identity_residual(c: NederConstruction, K: int, s_values: Sequence[complex]) -> float:
@@ -317,13 +319,11 @@ def fejer_identity_residual(c: NederConstruction, K: int, s_values: Sequence[com
     """
     if len(s_values) == 0:
         raise ValueError("need at least one sample point")
-    vals, coeffs = _partial_series(c, K)
+    DK = _blocks(c, -1, K)
     worst = 0.0
     for s in s_values:
         s = complex(s)
-        direct = 0j
-        for v, a in zip(vals, coeffs):
-            direct += a * np.exp(-v * s)
+        direct = 0j if DK is None else evaluate(DK, s)
         fejer = 0j
         for e in c.entries:
             if e.k > K:
@@ -356,16 +356,12 @@ def neder_cauchy_check(
         raise ValueError(f"L = {L} exceeds the largest block id {max(ks)}")
     if c_obs is None:
         c_obs = fejer_sup_max()
-    mask = (c.point_block > K) & (c.point_block <= L)
     bound = c_obs * sum(
         c.block_b[k] * c.block_sizes[k] for k in ks if K <= k <= L
     )
-    if not mask.any():
+    diff = _blocks(c, K, L)
+    if diff is None:
         return 0.0, bound
-    diff = DirichletSeries(
-        Frequency(c.eta.values[mask], generator="neder:partial"),
-        c.coeffs[mask],
-    )
     ts = grid.points()
     observed = float(np.max(np.abs(_eval_line(diff, grid.sigma, ts))))
     return observed, bound

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .series import DirichletSeries, _call_reference
+from .series import DirichletSeries, _call_reference, _eval_points
 
 __all__ = [
     "PerronQuery",
@@ -124,17 +125,11 @@ def _resolve_f(D: DirichletSeries, f_norm: Optional[float]):
     must be supplied by the caller; guessing one would wreck the certificate.
     """
     if D.reference is None:
-        lam = D.freq.values
-        coeffs = D.coeffs
-
-        def f(s: np.ndarray) -> np.ndarray:
-            return np.exp(-np.outer(np.atleast_1d(s), lam)) @ coeffs
-
         norm = D.abs_sum(0.0) if f_norm is None else float(f_norm)
-        return f, norm
+        return partial(_eval_points, D), norm
     if f_norm is None:
         raise ValueError("an external reference needs an explicit f_norm bound")
-    return D.reference, float(f_norm)
+    return partial(_call_reference, D.reference), float(f_norm)
 
 
 def perron_integral(

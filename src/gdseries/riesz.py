@@ -20,7 +20,6 @@ uniform bound can be, since the order-1 means converge to the function itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ from .frequency import Frequency
 from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, evaluate, line_sup_report
 
 __all__ = [
-    "RieszParams",
     "riesz_mean",
     "riesz_truncation",
     "typical_mean_A",
@@ -45,20 +43,6 @@ __all__ = [
     "paper_constant",
     "proof_integral",
 ]
-
-
-@dataclass(frozen=True)
-class RieszParams:
-    """Order k >= 0 and mean length x > 0."""
-
-    k: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("need k >= 0")
-        if self.x <= 0:
-            raise ValueError("need x > 0")
 
 
 def riesz_mean(D: DirichletSeries, k: float, x: float, s: complex = 0j) -> complex:
@@ -76,7 +60,10 @@ def riesz_truncation(D: DirichletSeries, k: float, x: float) -> Optional[Dirichl
 
     Returns None when no term satisfies lambda_n < x.
     """
-    RieszParams(k, x)
+    if k < 0:
+        raise ValueError("need k >= 0")
+    if x <= 0:
+        raise ValueError("need x > 0")
     lam = D.freq.values
     mask = lam < x
     if not mask.any():

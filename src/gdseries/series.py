@@ -11,8 +11,13 @@ with constant sum |a_n| lambda_n e^{-lambda_n sigma}, so
 
     sup over the covered t-window <= grid max + Lipschitz * step / 2,
 
-capped by the triangle-inequality bound sum |a_n| e^{-lambda_n sigma}.  The
-certificate covers the sampled window, which the callers choose.
+capped by the triangle-inequality bound sum |a_n| e^{-lambda_n sigma}, where
+step is the largest spacing actually sampled.  The certificate covers the
+sampled window, which the callers choose.
+
+Every sum_n amp_n e^{-lambda_n z} over many points z is built from
+``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
+4096 points and 2^21 entries (32 MiB), whatever M is.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,7 +53,8 @@ __all__ = [
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-_CHUNK = 4096
+_BLOCK_POINTS = 4096
+_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,8 @@ class DirichletSeries:
     """Coefficients over a frequency, with an optional reference evaluator.
 
     ``reference``, when present, evaluates the limit/extension function f at
-    points with Re s > 0 and must be finite there.  It may be vectorized over
-    numpy arrays; scalar-only callables are handled too.
+    points with Re s > 0 and must be finite there.  It takes a 1-D array of
+    points and returns an array of the same shape.
     """
 
     freq: Frequency
@@ -132,16 +139,33 @@ def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex
     return complex(total)
 
 
+def _phase_blocks(z: np.ndarray, lam: np.ndarray):
+    """Yield (offset, exp(-outer(z[offset:offset + rows], lam))) block by block over z."""
+    rows = max(1, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, lam.size)))
+    for lo in range(0, z.size, rows):
+        yield lo, np.exp(-np.outer(z[lo : lo + rows], lam))
+
+
+def _phase_sum(z: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z."""
+    out = np.empty(z.size, dtype=complex)
+    for lo, phase in _phase_blocks(z, lam):
+        out[lo : lo + phase.shape[0]] = phase @ amp
+    return out
+
+
 def _eval_line(D: DirichletSeries, sigma: float, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
-    """Vectorized partial sum along a line; chunked to bound memory."""
+    """Partial sum S_N(D)(sigma + it) at every t of ts."""
     N = _check_N(D, N)
     lam = D.freq.values[:N]
-    amp = D.coeffs[:N] * np.exp(-lam * sigma)
-    out = np.empty(ts.size, dtype=complex)
-    for lo in range(0, ts.size, _CHUNK):
-        tt = ts[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = np.exp(-1j * np.outer(tt, lam)) @ amp
-    return out
+    return _phase_sum(1j * ts, lam, D.coeffs[:N] * np.exp(-lam * sigma))
+
+
+def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
+    """The full sum D(s) at a scalar s, or at every point of a 1-D array s."""
+    z = np.asarray(s, dtype=complex)
+    out = _phase_sum(z.ravel(), D.freq.values, D.coeffs)
+    return complex(out[0]) if z.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -174,7 +198,8 @@ def line_sup_report(
     """Refine the grid (halving the step) until the max stabilizes.
 
     Stops when the relative change drops below ``tol_sup``.  The certified
-    upper bound is grid max + Lipschitz * final step / 2, capped by the
+    upper bound is grid max + Lipschitz * h / 2 with h the largest spacing of
+    the final round (``step`` reports the nominal one), capped by the
     coefficient-sum bound; it covers [t_min, t_max] on this line only.
     """
     N = _check_N(D, N)
@@ -197,8 +222,9 @@ def line_sup_report(
             break
         prev = best
         step /= 2.0
+    spacing = float(np.max(np.diff(ts)))
     cap = D.abs_sum(grid.sigma, N)
-    upper = min(best + D.lipschitz(grid.sigma, N) * step / 2.0, cap)
+    upper = min(best + D.lipschitz(grid.sigma, N) * spacing / 2.0, cap)
     # the cap and the grid max can coincide up to summation order; the
     # certificate must never fall below the observed lower bound
     upper = max(upper, best)
@@ -270,20 +296,17 @@ def translate(D: DirichletSeries, s0: complex) -> DirichletSeries:
         base = D.reference
 
         def ref(s, _f=base, _s0=s0):
-            return _f(np.asarray(s, dtype=complex) + _s0) if isinstance(s, np.ndarray) else _f(s + _s0)
+            return _f(np.asarray(s, dtype=complex) + _s0)
 
     return DirichletSeries(D.freq, coeffs, ref)
 
 
 def _call_reference(f: Callable, s_values: np.ndarray) -> np.ndarray:
-    """Evaluate a reference on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(f(s_values), dtype=complex)
-        if out.shape == s_values.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([complex(f(complex(s))) for s in s_values])
+    """Evaluate a reference on a 1-D array of points, one value per point."""
+    out = np.asarray(f(s_values), dtype=complex)
+    if out.shape != s_values.shape:
+        raise ValueError(f"reference returned shape {out.shape} for points of shape {s_values.shape}")
+    return out
 
 
 def with_self_reference(D: DirichletSeries) -> DirichletSeries:
@@ -292,15 +315,7 @@ def with_self_reference(D: DirichletSeries) -> DirichletSeries:
     A finite Dirichlet polynomial is its own limit function, so this is the
     canonical reference for identity and recovery experiments.
     """
-
-    def ref(s, _freq=D.freq, _coeffs=D.coeffs):
-        s_arr = np.asarray(s, dtype=complex)
-        scalar = s_arr.ndim == 0
-        s_flat = np.atleast_1d(s_arr)
-        out = np.exp(-np.outer(s_flat, _freq.values)) @ _coeffs
-        return complex(out[0]) if scalar else out.reshape(s_arr.shape)
-
-    return DirichletSeries(D.freq, D.coeffs, ref)
+    return DirichletSeries(D.freq, D.coeffs, partial(_eval_points, D))
 
 
 def coefficient_recover(
@@ -328,7 +343,9 @@ def coefficient_recover(
     m = int(round(2 * T / step))
     ts = -T + 2 * T * np.arange(m + 1) / m
     s = sigma + 1j * ts
-    vals = _call_reference(D.reference, s) * np.exp(s * lam)
+    # a named operand keeps numpy from multiplying in place (which can round differently)
+    fvals = _call_reference(D.reference, s)
+    vals = fvals * np.exp(s * lam)
     return complex(_trapezoid(vals, ts) / (2 * T))
 
 

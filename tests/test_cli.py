@@ -163,8 +163,22 @@ def test_domain_errors_exit_2(capsys):
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "-1"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "70"],
+        ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "30", "--n-stop", "100"],
     ):
         _assert_exit_2(argv, capsys)
+
+
+def test_profile_range_flags_resolve_against_the_refined_frequency(capsys):
+    # gaps of 3 are refined to 7 points, so the profile runs over N = 2..6
+    argv = ["bound", "profile", "--kind", "custom-from-list", "--n", "3",
+            "--params", "0", "3", "6", "--regime", "bc"]
+    assert run(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["N"] for r in rows] == [2, 3, 4, 5, 6]
+    assert run(argv + ["--n-start", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == rows
+    assert run(argv + ["--n-stop", "5"]) == 0  # honoured without --n-start too
+    assert json.loads(capsys.readouterr().out)["rows"] == rows[:3]
 
 
 def test_csv_format_for_two_column_tables(capsys):

@@ -1,0 +1,24 @@
+"""Every demo script runs to the end in-process and prints something."""
+
+import contextlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_six_demos_are_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue().strip()

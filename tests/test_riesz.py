@@ -23,7 +23,6 @@ from gdseries import (
     sigma_u_k_estimate,
     typical_mean_A,
 )
-from gdseries.riesz import RieszParams
 
 small_series = st.builds(
     lambda gaps, re, im: DirichletSeries(
@@ -37,11 +36,12 @@ small_series = st.builds(
 
 
 def test_params_validation():
+    D = DirichletSeries(make_frequency("linear", 4), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
-        RieszParams(-0.1, 1.0)
+        riesz_truncation(D, -0.1, 1.0)
     with pytest.raises(ValueError):
-        RieszParams(0.5, 0.0)
-    RieszParams(0.0, 1.0)  # k = 0 is the plain partial sum
+        riesz_truncation(D, 0.5, 0.0)
+    riesz_truncation(D, 0.0, 1.0)  # k = 0 is the plain partial sum
 
 
 @settings(max_examples=50, deadline=None)

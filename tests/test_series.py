@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -17,11 +18,14 @@ from gdseries import (
     line_sup_report,
     make_frequency,
     read_coefficients_csv,
+    riesz_uniform_error,
     series_from_descriptor,
     translate,
     with_self_reference,
     write_coefficients_csv,
 )
+from gdseries.bounds import _partial_sup_profile
+from gdseries.series import _BLOCK_ENTRIES, _eval_line, _phase_blocks
 
 
 def geometric(M=20):
@@ -112,6 +116,56 @@ def test_with_self_reference_evaluates_the_full_sum():
     D = with_self_reference(geometric(8))
     s = 0.7 + 0.1j
     assert abs(D.reference(s) - evaluate(D, s)) < 1e-14
+
+
+def test_kernel_blocks_match_one_shot_expressions():
+    # M = 3000 puts 699 points in a block, so the 2001-point grid takes three
+    M = 3000
+    rng = np.random.default_rng(5)
+    D = DirichletSeries(make_frequency("log", M), rng.standard_normal(M) + 1j * rng.standard_normal(M))
+    grid = LineGrid(1e-3, 0.0, 100.0, 0.05)
+    ts, lam = grid.points(), D.freq.values
+    amp = D.coeffs * np.exp(-lam * grid.sigma)
+    sizes = [phase.shape[0] for _, phase in _phase_blocks(1j * ts, lam)]
+    assert sizes == [_BLOCK_ENTRIES // M] * 2 + [ts.size - 2 * (_BLOCK_ENTRIES // M)]
+
+    phase = np.exp(-1j * np.outer(ts, lam))
+    assert np.array_equal(_eval_line(D, grid.sigma, ts), phase @ amp)
+    one_shot = np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
+    assert np.array_equal(_partial_sup_profile(D, grid), one_shot)
+    s = grid.sigma + 1j * ts
+    assert np.array_equal(with_self_reference(D).reference(s), np.exp(-np.outer(s, lam)) @ D.coeffs)
+
+
+def _with_reference(f):
+    return DirichletSeries(make_frequency("linear", 4), np.ones(4, dtype=complex), reference=f)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda D: coefficient_recover(D, 1, sigma=1.0, T=10.0, step=0.5),
+        lambda D: riesz_uniform_error(D, 1.0, 0.5, 2.5, LineGrid(0.5, 0.0, 5.0, 0.5)),
+    ],
+    ids=["coefficient_recover", "riesz_uniform_error"],
+)
+def test_reference_of_the_wrong_shape_is_rejected(call):
+    with pytest.raises(ValueError, match="shape"):
+        call(_with_reference(lambda s: 1.0))
+
+
+def test_scalar_only_reference_error_propagates():
+    D = _with_reference(lambda s: cmath.exp(-complex(s)))
+    with pytest.raises(TypeError):
+        coefficient_recover(D, 1, sigma=1.0, T=10.0, step=0.5)
+
+
+def test_certificate_uses_the_sampled_spacing():
+    # 2.5 steps of 0.4 round to 2 intervals: the grid is sampled at spacing 0.5
+    D = DirichletSeries(Frequency(np.array([0.0, 0.1])), np.array([1.0, -1.0], dtype=complex))
+    rep = line_sup_report(D, None, LineGrid(0.0, 0.0, 1.0, 0.4), max_rounds=1)
+    assert rep.step == 0.4
+    assert rep.certified_upper >= rep.value + D.lipschitz(0.0) * 0.25
 
 
 def test_coefficient_recover_small_polynomial():
