@@ -36,7 +36,7 @@ def main() -> None:
     print("F_3 coefficients:", poly.coeffs)
     print("F_3(1) =", poly(1.0 + 0j))
     print("sup |F_m| on the circle, m=2..6:", [round(fejer_sup(m), 4) for m in range(2, 7)])
-    print("C_obs = max over m <= 64:", fejer_sup_max(64))
+    print("C_obs = max over m <= 64:", fejer_sup_max())
 
     # subdividing integer frequencies 1..8 at the divergence point x
     base = Frequency(np.arange(1.0, 9.0))

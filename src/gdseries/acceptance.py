@@ -91,8 +91,8 @@ class CriterionResult:
         }
 
 
-def _random_instance(rng: np.random.Generator, max_m: int = 20) -> DirichletSeries:
-    m = int(rng.integers(2, max_m + 1))
+def _random_instance(rng: np.random.Generator) -> DirichletSeries:
+    m = int(rng.integers(2, 21))
     lam = np.cumsum(rng.uniform(0.05, 0.5, m))
     lam -= lam[0]
     coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -199,10 +199,10 @@ def criterion_5(seed: int) -> Tuple[bool, str]:
     return decreasing and small and regression, detail
 
 
-def _polynomial_family(seed: int, count: int = 50) -> List[Tuple[DirichletSeries, float]]:
+def _polynomial_family(seed: int) -> List[Tuple[DirichletSeries, float]]:
     rng = np.random.default_rng(60_000 + seed)
     family = []
-    for _ in range(count):
+    for _ in range(50):
         m = 6
         lam = np.cumsum(rng.uniform(0.1, 0.8, m))
         lam -= lam[0]
@@ -333,7 +333,7 @@ def criterion_11(seed: int) -> Tuple[bool, str]:
             ok &= abs(bound - GOLDEN_CAUCHY[1]) <= 1e-9
             parts.append(f"cauchy {observed:.4f} <= {bound:.4f}")
         parts.append(f"x={x}: div ok, fejer {resid:.1e}")
-    c_obs = fejer_sup_max(64)
+    c_obs = fejer_sup_max()
     sups = [fejer_sup(m) for m in range(1, 65)]
     ok &= abs(c_obs - GOLDEN_C_OBS) <= 1e-9 and max(sups) <= c_obs <= 4.0
     parts.append(f"C_obs={c_obs:.4f}")

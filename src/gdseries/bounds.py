@@ -47,6 +47,10 @@ __all__ = [
 
 _LOG_3 = math.log(3.0)
 _LOG_E_OVER_PI = 1.0 - math.log(math.pi)
+# hardy_check's x-grid: points of the first round, rounds, relative stability
+_HARDY_POINTS = 257
+_HARDY_ROUNDS = 12
+_HARDY_TOL = 1e-9
 
 
 def _log_c(k: float, log_k: Optional[float], variant: str) -> float:
@@ -251,7 +255,9 @@ def theorem_bound_profile(
     if Ns is None:
         Ns = slice(None)
     if isinstance(Ns, slice):
-        Ns = range(1 if Ns.start is None else Ns.start, Ns.stop or freq.M, Ns.step or 1)
+        start = 1 if Ns.start is None else Ns.start
+        stop = freq.M if Ns.stop is None else Ns.stop
+        Ns = range(start, stop, 1 if Ns.step is None else Ns.step)
     if len(Ns) == 0:
         raise ValueError(f"empty range of N: {Ns!r}")
     rows = []
@@ -356,27 +362,19 @@ def delta_sequence_estimate(
     return windowed_limsup("Delta", pairs)
 
 
-def hardy_check(
-    D: DirichletSeries,
-    N: int,
-    k: float,
-    x_points: int = 257,
-    max_rounds: int = 12,
-    tol: float = 1e-9,
-) -> Tuple[float, float]:
+def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     """(lhs, rhs) of |sum_{n<=N} a_n| <= 3 gap_N^{-k} sup_x |sum_{lambda_n<x} a_n (x-lambda_n)^k|.
 
-    The sup runs over x in [0, lambda_{N+1}]; the grid is refined (step
-    halved) until the observed max stabilises to ``tol`` relative or the
-    round budget runs out.  The inequality holds for every choice of the
-    first N coefficients, which makes it a good property-test target.
+    The sup runs over x in [0, lambda_{N+1}] on a grid of ``_HARDY_POINTS``
+    points, refined (step halved) until the observed max stabilises to
+    ``_HARDY_TOL`` relative or ``_HARDY_ROUNDS`` rounds have run.  The
+    inequality holds for every choice of the first N coefficients, which
+    makes it a good property-test target.
     """
     if not 0 < k <= 1:
         raise ValueError("need 0 < k <= 1")
     if not 1 <= N < D.M:
         raise ValueError(f"need 1 <= N < M = {D.M} (the window ends at lambda_(N+1))")
-    if x_points < 3:
-        raise ValueError("need x_points >= 3")
     lhs = abs(complex(np.sum(D.coeffs[:N])))
     lam = D.freq.values
     lam_next = float(lam[N])
@@ -392,12 +390,12 @@ def hardy_check(
             best = max(best, float(np.max(np.abs(w @ D.coeffs))))
         return best
 
-    m = x_points - 1
+    m = _HARDY_POINTS - 1
     sup = grid_max(m)
-    for _ in range(max_rounds - 1):
+    for _ in range(_HARDY_ROUNDS - 1):
         m *= 2
         nxt = grid_max(m)
-        stable = abs(nxt - sup) <= tol * max(nxt, 1e-300)
+        stable = abs(nxt - sup) <= _HARDY_TOL * max(nxt, 1e-300)
         sup = max(sup, nxt)
         if stable:
             break
@@ -418,23 +416,15 @@ class KroneckerNorm:
         return {"value": self.value, "exact": self.exact, "status": self.status}
 
 
-def kronecker_norm(arg, q_independent: Optional[bool] = None) -> KroneckerNorm:
+def kronecker_norm(D: DirichletSeries) -> KroneckerNorm:
     """sum |a_n| as the sup norm on the closed right half-plane.
 
-    For q-linearly independent frequencies this is the exact norm (the
-    rotations e^{-i t lambda_n} come arbitrarily close to aligning all
-    terms); otherwise it is only the trivial upper bound and is labelled as
-    such.  Accepts a DirichletSeries (independence read off the frequency
-    metadata) or a bare coefficient sequence, possibly empty, with the flag
-    passed explicitly.
+    For q-linearly independent frequencies (read off the frequency metadata)
+    this is the exact norm: the rotations e^{-i t lambda_n} come arbitrarily
+    close to aligning all terms.  Otherwise it is only the trivial upper
+    bound and is labelled as such.
     """
-    if isinstance(arg, DirichletSeries):
-        value = arg.abs_sum(0.0)
-        independent = arg.freq.q_independent if q_independent is None else q_independent
-    else:
-        coeffs = np.asarray(list(arg), dtype=complex)
-        value = float(math.fsum(np.abs(coeffs))) if coeffs.size else 0.0
-        independent = bool(q_independent)
-    if independent:
+    value = D.abs_sum(0.0)
+    if D.freq.q_independent:
         return KroneckerNorm(value=value, exact=True, status="exact-sup-norm")
     return KroneckerNorm(value=value, exact=False, status="upper-bound-only")

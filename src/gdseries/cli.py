@@ -9,12 +9,13 @@ input (``error: ...`` on stderr, nothing on stdout).
 
 Each action is declared once, by one ``Action`` entry in the registry below:
 the library operations it owns, its input source (none, a frequency or a
-series), its flags with their defaults, and the function that computes its
-output.  The parser, the handler table ``HANDLERS`` and the ownership map
-``ACTIONS`` are generated from the registry, so adding an action means adding
-one registry entry.  A flag's default is written only in its spec.  The test
-suite checks that the ownership is a partition (no operation reachable from
-two actions, none orphaned).
+series), the flags it reads with their defaults (only ``--format`` and
+``--out`` are common to all), and the function that computes its output.  The
+parser, the handler table ``HANDLERS`` and the ownership map ``ACTIONS`` are
+generated from the registry, so adding an action means adding one registry
+entry.  A flag's default is written only in its spec.  The test suite checks
+that the ownership is a partition (no operation reachable from two actions,
+none orphaned) and that every accepted flag is read.
 """
 
 from __future__ import annotations
@@ -59,15 +60,8 @@ def _positive(text: str) -> float:
 COMMON = (
     _flag("--format", None, "json", choices=("json", "csv")),
     _flag("--out", None, metavar="PATH"),
-    _flag("--seed", int, 7),
-    _flag("--tol-sup", _positive, 1e-4),
-    _flag("--quad-tol", _positive, 1e-8),
-    _flag("--tol-slope", _positive, 1e-3),
-    _flag("--grid-sigma", float, 1e-3),
-    _flag("--grid-t-min", float, 0.0),
-    _flag("--grid-t-max", float, 100.0),
-    _flag("--grid-step", _positive, 0.05),
 )
+SEED = _flag("--seed", int, 7)
 FREQ_FLAGS = (
     _flag("--kind", None, "log", choices=BUILTIN_KINDS),
     _flag("--n", int, 100, help="frequency length M"),
@@ -78,6 +72,7 @@ SERIES_FLAGS = FREQ_FLAGS + (
     _flag("--coeffs", None, "ones", help="builtin coefficient tag"),
     _flag("--coeffs-file", None, metavar="PATH"),
     _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON"),
+    SEED,
 )
 SOURCES = {None: (), "freq": FREQ_FLAGS, "series": SERIES_FLAGS}
 
@@ -94,7 +89,14 @@ VARIANT = _flag("--variant", None, "paper", choices=("paper", "exact"))
 EPSILON = _flag("--epsilon", float, 1.0)
 T_HEIGHT = _flag("--t-height", float, 1e3)
 F_NORM = _flag("--f-norm", float)
-PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step"), F_NORM)
+TOL_SUP = _flag("--tol-sup", _positive, 1e-4)
+QUAD_TOL = _flag("--quad-tol", _positive, 1e-8)
+TOL_SLOPE = _flag("--tol-slope", _positive, 1e-3)
+GRID_STEP = _flag("--grid-step", _positive, 0.05)
+# a t-window, and a t-window on the line Re s = --grid-sigma
+WINDOW = (_flag("--grid-t-min", float, 0.0), _flag("--grid-t-max", float, 100.0), GRID_STEP)
+LINE = (_flag("--grid-sigma", float, 1e-3),) + WINDOW
+PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step", float, 0.05), F_NORM, QUAD_TOL)
 NEDER = (X, _flag("--r-cap", int), _flag("--point-budget", int, 10_000))
 
 
@@ -102,8 +104,10 @@ class RunConfig(argparse.Namespace):
     """Parsed invocation: command, action and every flag of the action as an
     attribute, plus the inputs those flags describe."""
 
-    def grid(self) -> LineGrid:
-        return LineGrid(self.grid_sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
+    def grid(self, sigma: Optional[float] = None) -> LineGrid:
+        """The ``LINE`` flags, or the ``WINDOW`` flags on the line Re s = ``sigma``."""
+        sigma = self.grid_sigma if sigma is None else sigma
+        return LineGrid(sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
 
     def frequency(self) -> Frequency:
         if self.freq_file:
@@ -212,7 +216,7 @@ def _riesz_typical(cfg):
 
 
 def _riesz_abel(cfg):
-    resid = riesz.check_abel_integral(cfg.series(), cfg.k, cfg.x, cfg.quad_tol)
+    resid = riesz.check_abel_integral(cfg.series(), cfg.k, cfg.x)
     return {"k": cfg.k, "x": cfg.x, "residual": resid, "tol": cfg.quad_tol}
 
 
@@ -229,7 +233,7 @@ def _riesz_beta(cfg):
 
 def _riesz_error(cfg):
     D = series.with_self_reference(cfg.series()) if cfg.self_reference else cfg.series()
-    err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid())
+    err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid(0.0))
     return {"k": cfg.k, "sigma": cfg.sigma, "x": cfg.x, "error": err}
 
 
@@ -258,13 +262,12 @@ def _abscissa_delta(cfg):
         DirichletSeries(freq, series.builtin_coefficients("seeded-normal", freq.M, cfg.seed + j))
         for j in range(cfg.count)
     ]
-    return _with_ratios(bounds.delta_sequence_estimate(family, cfg.grid()))
+    return _with_ratios(bounds.delta_sequence_estimate(family, cfg.grid(0.0)))
 
 
 def _perron(cfg, op):
     """``op(series, query)`` with the query and norm flags of ``cfg``."""
-    step = cfg.step or cfg.grid_step
-    query = perron.PerronQuery(x=cfg.x, k=cfg.k, epsilon=cfg.epsilon, T=cfg.t_height, step=step)
+    query = perron.PerronQuery(x=cfg.x, k=cfg.k, epsilon=cfg.epsilon, T=cfg.t_height, step=cfg.step)
     return op(cfg.series(), query, f_norm=cfg.f_norm, quad_tol=cfg.quad_tol)
 
 
@@ -321,7 +324,7 @@ def _neder_fejer(cfg):
         "m": cfg.m,
         "coefficients": [float(v) for v in neder.fejer_polynomial(cfg.m).coeffs],
         "sup": neder.fejer_sup(cfg.m),
-        "supMax64": neder.fejer_sup_max(64),
+        "supMax64": neder.fejer_sup_max(),
     }
 
 
@@ -367,44 +370,48 @@ COMMANDS = {
 _REGISTRY = (
     Action("freq", "make", "freq", ("frequency.make_frequency", "frequency.read_frequency_file"),
            (), _freq_make),
-    Action("freq", "check-bc", "freq", ("frequency.check_bc",), (L, DELTA),
+    Action("freq", "check-bc", "freq", ("frequency.check_bc",), (L, DELTA, TOL_SLOPE),
            lambda cfg: frequency.check_bc(cfg.frequency(), cfg.l, cfg.delta, cfg.tol_slope)),
-    Action("freq", "check-lc", "freq", ("frequency.check_lc",), (DELTA,),
+    Action("freq", "check-lc", "freq", ("frequency.check_lc",), (DELTA, TOL_SLOPE),
            lambda cfg: frequency.check_lc(cfg.frequency(), cfg.delta, cfg.tol_slope)),
     Action("freq", "check-poly", "freq", ("frequency.check_poly_growth",),
-           (L, _flag("--d", float, required=True), DELTA),
+           (L, _flag("--d", float, required=True), DELTA, TOL_SLOPE),
            lambda cfg: frequency.check_poly_growth(cfg.frequency(), cfg.l, cfg.d, cfg.delta, cfg.tol_slope)),
     Action("freq", "density", "freq", ("frequency.estimate_L",), (),
            lambda cfg: _with_ratios(frequency.estimate_L(cfg.frequency()))),
     Action("freq", "refine", "freq", ("frequency.refine_gaps",), (), _freq_refine),
     Action("series", "eval", "series", ("series.evaluate", "series.series_from_descriptor"),
            POINT + (N_TERMS,), _series_eval),
-    Action("series", "sup", "series", ("series.line_sup_report",), (N_TERMS,),
+    Action("series", "sup", "series", ("series.line_sup_report",), (N_TERMS, TOL_SUP) + LINE,
            lambda cfg: series.line_sup_report(cfg.series(), cfg.n_terms, cfg.grid(), cfg.tol_sup)),
-    Action("series", "norm", "series", ("series.halfplane_norm",), (_flag("--levels", int, 8),),
+    Action("series", "norm", "series", ("series.halfplane_norm",),
+           (_flag("--levels", int, 8), TOL_SUP) + LINE,
            lambda cfg: series.halfplane_norm(cfg.series(), cfg.grid_t_min, cfg.grid_t_max, cfg.grid_step,
                                              cfg.grid_sigma, cfg.levels, cfg.tol_sup)),
     Action("series", "translate", "series", ("series.translate",), POINT, _series_translate),
     Action("series", "recover", "series", ("series.coefficient_recover",),
-           (N_INDEX, _flag("--sigma", float, 1.0), _flag("--t-height", float, 1e4)), _series_recover),
+           (N_INDEX, _flag("--sigma", float, 1.0), _flag("--t-height", float, 1e4), GRID_STEP),
+           _series_recover),
     Action("series", "coeffs", "series",
            ("series.builtin_coefficients", "series.read_coefficients_csv", "series.write_coefficients_csv"),
            (), _series_coeffs),
     Action("riesz", "mean", "series", ("riesz.riesz_mean",), (K, X) + POINT, _riesz_mean),
     Action("riesz", "truncate", "series", ("riesz.riesz_truncation",), (K, X), _riesz_truncate),
     Action("riesz", "typical", "series", ("riesz.typical_mean_A",), (K, X) + POINT, _riesz_typical),
-    Action("riesz", "abel", "series", ("riesz.check_abel_integral",), (K, X), _riesz_abel),
+    Action("riesz", "abel", "series", ("riesz.check_abel_integral",), (K, X, QUAD_TOL), _riesz_abel),
     Action("riesz", "fractional", "series", ("riesz.check_fractional_identity",),
-           (K, _flag("--t-point", float, required=True), TAU), _riesz_fractional),
+           (K, _flag("--t-point", float, required=True), TAU, QUAD_TOL), _riesz_fractional),
     Action("riesz", "beta", None, ("riesz.beta_identity",),
-           (_flag("--alpha", float, required=True), _flag("--beta", float, required=True)), _riesz_beta),
+           (_flag("--alpha", float, required=True), _flag("--beta", float, required=True), QUAD_TOL),
+           _riesz_beta),
     Action("riesz", "error", "series", ("riesz.riesz_uniform_error", "series.with_self_reference"),
            (K, X, _flag("--sigma", float, 0.5),
-            _flag("--self-reference", None, True, action=argparse.BooleanOptionalAction)), _riesz_error),
+            _flag("--self-reference", None, True, action=argparse.BooleanOptionalAction)) + WINDOW,
+           _riesz_error),
     Action("riesz", "sigma-u-k", "series", ("riesz.sigma_u_k_estimate",),
-           (K, _flag("--xs", float, required=True, nargs="+")),
+           (K, _flag("--xs", float, required=True, nargs="+"), TOL_SUP) + WINDOW,
            lambda cfg: _with_ratios(
-               riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(), cfg.tol_sup))),
+               riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(0.0), cfg.tol_sup))),
     Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
            (_flag("--k", float, 1.0),), _riesz_constants),
     Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
@@ -423,10 +430,10 @@ _REGISTRY = (
            lambda cfg: _with_ratios(bounds.sigma_c_estimate(cfg.series()))),
     Action("abscissa", "sigma-a", "series", ("bounds.sigma_a_estimate",), (),
            lambda cfg: _with_ratios(bounds.sigma_a_estimate(cfg.series()))),
-    Action("abscissa", "sigma-u", "series", ("bounds.sigma_u_estimate",), (),
-           lambda cfg: _with_ratios(bounds.sigma_u_estimate(cfg.series(), cfg.grid()))),
-    Action("abscissa", "delta", "freq", ("bounds.delta_sequence_estimate",), (_flag("--count", int, 8),),
-           _abscissa_delta),
+    Action("abscissa", "sigma-u", "series", ("bounds.sigma_u_estimate",), WINDOW,
+           lambda cfg: _with_ratios(bounds.sigma_u_estimate(cfg.series(), cfg.grid(0.0)))),
+    Action("abscissa", "delta", "freq", ("bounds.delta_sequence_estimate",),
+           (_flag("--count", int, 8), SEED) + WINDOW, _abscissa_delta),
     Action("perron", "eval", "series", ("perron.perron_integral",), PERRON,
            lambda cfg: _perron(cfg, perron.perron_integral)),
     Action("perron", "check", "series", ("perron.perron_vs_direct",), PERRON,
@@ -438,13 +445,13 @@ _REGISTRY = (
     Action("neder", "build", "freq", ("neder.neder_construct",), NEDER, _neder_build),
     Action("neder", "divergence", "freq", ("neder.neder_divergence_check",), NEDER, _neder_divergence),
     Action("neder", "cauchy", "freq", ("neder.neder_cauchy_check",),
-           NEDER + (_flag("--k-low", int, 1), _flag("--k-high", int, 3)), _neder_cauchy),
+           NEDER + (_flag("--k-low", int, 1), _flag("--k-high", int, 3)) + LINE, _neder_cauchy),
     Action("neder", "identity", "freq", ("neder.fejer_identity_residual",),
-           NEDER + (_flag("--k-prefix", int, 3), _flag("--samples", int, 10)), _neder_identity),
+           NEDER + (_flag("--k-prefix", int, 3), _flag("--samples", int, 10), SEED), _neder_identity),
     Action("neder", "fejer", None, ("neder.fejer_polynomial", "neder.fejer_sup", "neder.fejer_sup_max"),
            (_flag("--m", int, 3),), _neder_fejer),
     Action("suite", "acceptance", None, ("acceptance.run_all", "acceptance.run_criterion"),
-           (_flag("--only", int, nargs="*", help="criterion ids to run"),), _suite_acceptance),
+           (_flag("--only", int, nargs="*", help="criterion ids to run"), SEED), _suite_acceptance),
 )
 ACTIONS: Dict[Tuple[str, str], Action] = {(a.command, a.name): a for a in _REGISTRY}
 

@@ -60,13 +60,12 @@ class AbscissaEstimate:
 def windowed_limsup(
     which: str,
     pairs: Iterable[Tuple[int, float]],
-    growth_tol: float = GROWTH_TOL,
 ) -> AbscissaEstimate:
     """Build an :class:`AbscissaEstimate` from (index, ratio) pairs.
 
     The estimate is the max over the last ``ceil(n/3)`` pairs.  The trend
     compares the maxima of three consecutive chunks ``m1, m2, m3``:
-    divergent when both transitions grow by more than ``growth_tol``
+    divergent when both transitions grow by more than ``GROWTH_TOL``
     (relative to the largest magnitude), convergent when the last transition
     does not grow, inconclusive otherwise or when fewer than 3 pairs exist.
     """
@@ -88,9 +87,9 @@ def windowed_limsup(
     scale = max(abs(m1), abs(m2), abs(m3), 1e-12)
     g_first = (m2 - m1) / scale
     g_last = (m3 - m2) / scale
-    if g_last > growth_tol and g_first > growth_tol:
+    if g_last > GROWTH_TOL and g_first > GROWTH_TOL:
         trend = "divergent"
-    elif g_last <= growth_tol:
+    elif g_last <= GROWTH_TOL:
         trend = "convergent"
     else:
         trend = "inconclusive"

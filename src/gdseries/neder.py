@@ -41,6 +41,9 @@ __all__ = [
     "neder_cauchy_check",
 ]
 
+_CIRCLE_POINTS = 4096  # unit-circle grid of fejer_sup
+_FEJER_M_MAX = 64  # fejer_sup_max takes the max over m <= this
+
 
 @dataclass(frozen=True)
 class FejerPolynomial:
@@ -76,21 +79,20 @@ def fejer_polynomial(m: int) -> FejerPolynomial:
     return FejerPolynomial(m=m, coeffs=coeffs)
 
 
-def fejer_sup(m: int, grid_points: int = 4096) -> float:
-    """Grid max of |F_m| on the unit circle (enough, by the maximum principle)."""
-    if grid_points < 8:
-        raise ValueError("need grid_points >= 8")
+def fejer_sup(m: int) -> float:
+    """Max of |F_m| over 4096 equispaced points of the unit circle (the circle
+    is enough, by the maximum principle)."""
     poly = fejer_polynomial(m)
     if m == 1:
         return 0.0
-    theta = 2.0 * math.pi * np.arange(grid_points) / grid_points
+    theta = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     return float(np.max(np.abs(poly.eval_many(np.exp(1j * theta)))))
 
 
-@lru_cache(maxsize=8)
-def fejer_sup_max(m_max: int = 64, grid_points: int = 4096) -> float:
-    """max_{m <= m_max} fejer_sup(m): the observed uniform Fejer constant."""
-    return max(fejer_sup(m, grid_points) for m in range(1, m_max + 1))
+@lru_cache(maxsize=1)
+def fejer_sup_max() -> float:
+    """max_{m <= 64} fejer_sup(m): the observed uniform Fejer constant."""
+    return max(fejer_sup(m) for m in range(1, _FEJER_M_MAX + 1))
 
 
 def _strict_floor(y: float) -> float:
@@ -340,7 +342,6 @@ def neder_cauchy_check(
     K: int,
     L: int,
     grid: LineGrid,
-    c_obs: Optional[float] = None,
 ) -> Tuple[float, float]:
     """(observed, bound): grid sup of |D^K - D^L| against C_obs sum b_k |I_k|.
 
@@ -354,9 +355,7 @@ def neder_cauchy_check(
         raise ValueError("need K <= L")
     if L > max(ks):
         raise ValueError(f"L = {L} exceeds the largest block id {max(ks)}")
-    if c_obs is None:
-        c_obs = fejer_sup_max()
-    bound = c_obs * sum(
+    bound = fejer_sup_max() * sum(
         c.block_b[k] * c.block_sizes[k] for k in ks if K <= k <= L
     )
     diff = _blocks(c, K, L)

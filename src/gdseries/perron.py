@@ -37,6 +37,8 @@ __all__ = [
     "perron_vs_direct",
 ]
 
+_MAX_ROUNDS = 14  # trapezoid refinement rounds of perron_integral
+
 
 @dataclass(frozen=True)
 class PerronQuery:
@@ -137,12 +139,12 @@ def perron_integral(
     q: PerronQuery,
     f_norm: Optional[float] = None,
     quad_tol: Optional[float] = None,
-    max_rounds: int = 14,
 ) -> PerronResult:
     """Evaluate the truncated Perron integral with trapezoid refinement.
 
     Refinement halves the step until successive values differ by less than
-    a tenth of ``quad_tol`` (or 1e-10 relative when no tolerance is given).
+    a tenth of ``quad_tol`` (or 1e-10 relative when no tolerance is given),
+    for at most 14 rounds.
     When ``quad_tol`` is set and k > 0, a tail certificate above it is
     rejected up front with the T that would suffice; k = 0 is rejected when x
     lies on the frequency (the inverted step function jumps there).
@@ -171,7 +173,7 @@ def perron_integral(
     integral = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
     target = 0.1 * quad_tol if quad_tol is not None else None
     rounds = 1
-    while rounds < max_rounds:
+    while rounds < _MAX_ROUNDS:
         mids = -T + h * (np.arange(n) + 0.5)
         chunk = 1 << 16
         mid_sum = 0j

@@ -92,12 +92,12 @@ def typical_mean_A(D: DirichletSeries, k: float, w: complex, x: float) -> comple
     return complex(total)
 
 
-def check_abel_integral(D: DirichletSeries, k: float, x: float, quad_tol: float = 1e-10) -> float:
+def check_abel_integral(D: DirichletSeries, k: float, x: float) -> float:
     """Residual of A^k(x) = k int_0^x (x-t)^{k-1} A^0(t) dt, piecewise exactly.
 
     A^0 is constant between consecutive frequencies, so each segment [u, v]
     contributes P * ((x-u)^k - (x-v)^k) in closed form; the residual is pure
-    rounding error and must come in far below ``quad_tol``.
+    rounding error.
 
     Requires 0 < k <= 1 and x not equal to any lambda_n (A^0 jumps there).
     """

@@ -101,6 +101,8 @@ class DirichletSeries:
             raise ValueError(
                 f"coefficient count {c.size} != frequency length {self.freq.M}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -257,7 +259,6 @@ def halfplane_norm(
     sigma_min: float = 1e-3,
     levels: int = 8,
     tol_sup: float = 1e-4,
-    N: Optional[int] = None,
 ) -> NormReport:
     """Estimate the sup of |D| on [Re > 0] from lines sigma_min * 2^j.
 
@@ -269,10 +270,10 @@ def halfplane_norm(
     uppers = []
     sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
     for sg in sigmas:
-        rep = line_sup_report(D, N, LineGrid(sg, t_min, t_max, step), tol_sup)
+        rep = line_sup_report(D, None, LineGrid(sg, t_min, t_max, step), tol_sup)
         sups.append(rep.value)
         uppers.append(rep.certified_upper)
-    cap = D.abs_sum(0.0, N)
+    cap = D.abs_sum(0.0)
     estimate = max(sups)
     # same hairline as in line_sup_report: when the cap coincides with the
     # observed max up to summation order, the certificate keeps dominating
@@ -290,7 +291,9 @@ def translate(D: DirichletSeries, s0: complex) -> DirichletSeries:
     The frequency is unchanged; a reference f becomes s -> f(s + s0).
     """
     s0 = complex(s0)
-    coeffs = D.coeffs * np.exp(-D.freq.values * s0)
+    # an overflow leaves non-finite coefficients, which DirichletSeries rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = D.coeffs * np.exp(-D.freq.values * s0)
     ref = None
     if D.reference is not None:
         base = D.reference
@@ -335,13 +338,10 @@ def coefficient_recover(
         raise ValueError("coefficient recovery needs a reference evaluator")
     if sigma <= 0:
         raise ValueError("need sigma > 0")
-    if T <= 0 or step <= 0:
-        raise ValueError("need T > 0 and step > 0")
     if not 1 <= n <= D.M:
         raise ValueError(f"n={n} out of range [1, {D.M}]")
     lam = float(D.freq.values[n - 1])
-    m = int(round(2 * T / step))
-    ts = -T + 2 * T * np.arange(m + 1) / m
+    ts = LineGrid(sigma, -T, T, step).points()
     s = sigma + 1j * ts
     # a named operand keeps numpy from multiplying in place (which can round differently)
     fvals = _call_reference(D.reference, s)

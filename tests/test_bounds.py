@@ -121,12 +121,12 @@ def test_hardy_needs_next_frequency():
         hardy_check(D, 4, 0.5)
 
 
-def test_kronecker_norm_bare_sequence_examples():
-    rep = kronecker_norm([1.0, -2.0, 3.0j])
+def test_kronecker_norm_is_an_upper_bound_for_dependent_frequencies():
+    D = DirichletSeries(make_frequency("linear", 3), np.array([1.0, -2.0, 3.0j]))
+    rep = kronecker_norm(D)
     assert rep.value == pytest.approx(6.0)
     assert not rep.exact
     assert rep.status == "upper-bound-only"
-    assert kronecker_norm([]).value == 0.0
 
 
 def test_kronecker_norm_exact_for_independent_frequencies():
@@ -136,11 +136,6 @@ def test_kronecker_norm_exact_for_independent_frequencies():
     rep = kronecker_norm(D)
     assert rep.exact
     assert rep.value == pytest.approx(1.875)
-
-
-def test_kronecker_norm_override_flag():
-    rep = kronecker_norm([1.0, 1.0], q_independent=True)
-    assert rep.exact
 
 
 @settings(max_examples=30, deadline=None)

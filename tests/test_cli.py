@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gdseries.cli import ACTIONS, HANDLERS, run
+from gdseries.cli import ACTIONS, HANDLERS, RunConfig, build_parser, run
 
 # one fast, known-good invocation per (command, action)
 ARGV = {
@@ -77,6 +78,34 @@ def test_every_operation_has_exactly_one_subcommand():
 def test_handlers_cover_dispatch_exactly():
     assert set(HANDLERS) == set(ACTIONS)
     assert set(ARGV) == set(ACTIONS)
+
+
+def _subparser(parser, name):
+    choices = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return choices.choices[name]
+
+
+@pytest.mark.parametrize("key", sorted(ARGV), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_every_accepted_flag_is_read(key, monkeypatch, capsys):
+    reads = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    handler = HANDLERS[key]
+
+    def recorded(cfg):
+        cfg.__class__ = Recording
+        return handler(cfg)
+
+    monkeypatch.setitem(HANDLERS, key, recorded)
+    assert run(ARGV[key]) == 0
+    capsys.readouterr()
+    parser = _subparser(_subparser(build_parser(), key[0]), key[1])
+    accepted = {a.dest for a in parser._actions} - {"help", "format", "out"}
+    assert accepted - reads == set()
 
 
 def _digest(out: str) -> str:
@@ -152,18 +181,30 @@ def test_usage_errors_exit_2(capsys):
         ["freq"],
         ["freq", "make", "--bogus"],
         ["suite", "acceptance", "--only", "99"],
+        # sigma-u evaluates on Re s = 0 and takes no line
+        ["abscissa", "sigma-u", "--kind", "log", "--n", "16", "--grid-t-max", "20", "--grid-sigma", "0.5"],
     ):
         _assert_exit_2(argv, capsys)
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(tmp_path, capsys):
+    non_finite = tmp_path / "coeffs.csv"
+    non_finite.write_text("index,re,im\n1,1.0,0.0\n2,nan,0.0\n3,1.0,inf\n")
     for argv in (
         ["bound", "sn", "--kind", "linear", "--n", "5", "--n-index", "0", "--k", "1"],
-        ["freq", "density", "--kind", "log", "--n", "20", "--tol-sup", "0"],
+        ["series", "sup", "--kind", "log", "--n", "12", "--grid-t-max", "10", "--tol-sup", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "-1"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "70"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "30", "--n-stop", "100"],
+        ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-stop", "0"],
+        ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-step", "0"],
+        # a quadrature step wider than the window [-T, T]
+        ["series", "recover", "--kind", "linear", "--n", "4", "--n-index", "2", "--t-height", "1000",
+         "--grid-step", "5000"],
+        # non-finite coefficients, read from a file or left by an overflow
+        ["series", "sup", "--kind", "log", "--n", "3", "--coeffs-file", str(non_finite), "--grid-t-max", "10"],
+        ["series", "translate", "--kind", "linear", "--n", "3", "--sigma", "-800"],
     ):
         _assert_exit_2(argv, capsys)
 

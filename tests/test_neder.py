@@ -36,7 +36,7 @@ def test_fejer_sup_small_m():
 
 
 def test_fejer_sup_max_is_bounded():
-    c_obs = fejer_sup_max(64)
+    c_obs = fejer_sup_max()
     assert c_obs == pytest.approx(3.6546588850074464, abs=1e-9)
     assert c_obs < 4.0
     sups = [fejer_sup(m) for m in range(1, 65)]

@@ -179,6 +179,12 @@ def test_coefficient_recover_small_polynomial():
     assert abs(got - (-2.0 + 1j)) < 5e-3
 
 
+def test_coefficient_recover_rejects_a_step_wider_than_the_window():
+    D = with_self_reference(DirichletSeries(make_frequency("linear", 4), np.ones(4)))
+    with pytest.raises(ValueError, match="step"):
+        coefficient_recover(D, 2, sigma=1.0, T=1000.0, step=5000.0)
+
+
 def test_halfplane_norm_certificate_brackets_value():
     D = geometric(10)
     rep = halfplane_norm(D, t_min=0.0, t_max=30.0, step=0.05, levels=5)
@@ -249,3 +255,15 @@ def test_series_from_descriptor_with_files(tmp_path):
 def test_series_rejects_length_mismatch():
     with pytest.raises(ValueError):
         DirichletSeries(make_frequency("linear", 3), np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_series_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DirichletSeries(make_frequency("linear", 3), np.array([1.0, bad, 1.0]))
+
+
+def test_translate_overflow_is_an_error():
+    D = DirichletSeries(make_frequency("linear", 3), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        translate(D, -800.0)
