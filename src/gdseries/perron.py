@@ -66,6 +66,8 @@ class PerronQuery:
 
 def tail_bound(k: float, x: float, epsilon: float, f_norm: float, T: float) -> float:
     """Certified |tail| bound; inf at k = 0 where the certificate is vacuous."""
+    if T <= 0:
+        raise ValueError("need T > 0")
     if k == 0:
         return math.inf
     return math.gamma(k + 1.0) * f_norm * math.exp(x * epsilon) / (math.pi * x**k * k * T**k)

@@ -17,11 +17,21 @@ sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^21 entries (32 MiB), whatever M is.
+4096 points and 2^21 entries (32 MiB), whatever M is.  Each value is one GEMV
+row, so it does not depend on the block a point falls in, and several amplitude
+vectors (lines Re s = sigma) share one phase row.
+
+Line sups refine one t-window for all their lines together (``_refine_lines``):
+a round builds phase rows only for points the previous round lacked, and each
+line keeps its own |values|.  Rows are reused only on a true refinement, when
+the new grid's even points are the previous grid bit for bit; ``LineGrid``
+rounds W/h, so a step that does not divide the window can give another size,
+and then every point is evaluated afresh.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -55,6 +65,7 @@ __all__ = [
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _BLOCK_POINTS = 4096
 _BLOCK_ENTRIES = 1 << 21
+_MAX_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -134,10 +145,14 @@ def _check_N(D: DirichletSeries, N: Optional[int]) -> int:
 def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex:
     """Partial sum S_N(D)(s) = sum_{n<=N} a_n e^{-lambda_n s}, summed in index order."""
     N = _check_N(D, N)
-    terms = D.coeffs[:N] * np.exp(-D.freq.values[:N] * complex(s))
+    # an overflow is rejected below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = D.coeffs[:N] * np.exp(-D.freq.values[:N] * complex(s))
     total = 0j
     for t in terms:
         total += t
+    if not cmath.isfinite(total):
+        raise ValueError(f"S_N(s) is not finite at s = {complex(s)}")
     return complex(total)
 
 
@@ -149,18 +164,31 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray):
 
 
 def _phase_sum(z: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z."""
-    out = np.empty(z.size, dtype=complex)
+    """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z.
+
+    ``amp`` is one amplitude vector, or a 2-D stack of them that shares each
+    phase block; the result has one row per stacked vector.
+    """
+    out = np.empty(amp.shape[:-1] + (z.size,), dtype=complex)
     for lo, phase in _phase_blocks(z, lam):
-        out[lo : lo + phase.shape[0]] = phase @ amp
+        rows = phase.shape[0]
+        if rows == 1:
+            # numpy sums a one-row product as a dot, in another order than GEMV
+            phase = np.repeat(phase, 2, axis=0)
+        for k in np.ndindex(amp.shape[:-1]):
+            out[k][lo : lo + rows] = (phase @ amp[k])[:rows]
     return out
 
 
-def _eval_line(D: DirichletSeries, sigma: float, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
-    """Partial sum S_N(D)(sigma + it) at every t of ts."""
+def _eval_line(D: DirichletSeries, sigma, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
+    """Partial sum S_N(D)(sigma + it) at every t of ts.
+
+    A sequence of sigma gives one row per sigma, from one build of the phase rows.
+    """
     N = _check_N(D, N)
     lam = D.freq.values[:N]
-    return _phase_sum(1j * ts, lam, D.coeffs[:N] * np.exp(-lam * sigma))
+    amps = [D.coeffs[:N] * np.exp(-lam * sg) for sg in np.ravel(sigma)]
+    return _phase_sum(1j * ts, lam, amps[0] if np.ndim(sigma) == 0 else np.array(amps))
 
 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
@@ -190,12 +218,79 @@ class SupReport:
         }
 
 
+def _refine_lines(
+    D: DirichletSeries,
+    N: int,
+    grid: LineGrid,
+    sigmas: Sequence[float],
+    tol_sup: float,
+    max_rounds: int,
+) -> list:
+    """One SupReport per line Re s = sigma of ``sigmas`` over grid's t-window
+    (grid.sigma is not read).
+
+    All lines start at grid.step and halve it together.  A round evaluates only
+    the points the previous round lacked (every point when the grid is not a
+    true refinement) for the lines still refining; each line keeps its own
+    |values|, first-index argmax and convergence test, and leaves once it
+    stops.
+    """
+    best = [-math.inf] * len(sigmas)
+    t_best = [grid.t_min] * len(sigmas)
+    prev = [None] * len(sigmas)
+    vals = [None] * len(sigmas)  # |S_N| on the current grid, per refining line
+    reports = [None] * len(sigmas)
+    live = list(range(len(sigmas)))
+    step = grid.step
+    rounds = 0
+    old = None
+    while live:
+        ts = grid.points(step)
+        rounds += 1
+        live_sigmas = [sigmas[j] for j in live]
+        if old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old):
+            fresh = np.abs(_eval_line(D, live_sigmas, ts[1::2], N))
+            for j, mid in zip(live, fresh):
+                full = np.empty(ts.size)
+                full[::2], full[1::2] = vals[j], mid
+                vals[j] = full
+        else:
+            for j, row in zip(live, np.abs(_eval_line(D, live_sigmas, ts, N))):
+                vals[j] = row
+        for j in list(live):
+            i = int(np.argmax(vals[j]))
+            if vals[j][i] > best[j]:
+                best[j] = float(vals[j][i])
+                t_best[j] = float(ts[i])
+            converged = prev[j] is not None and abs(best[j] - prev[j]) <= tol_sup * max(best[j], 1e-300)
+            if converged or rounds >= max_rounds:
+                reports[j] = _certify(D, N, sigmas[j], best[j], t_best[j], ts, step, rounds)
+                live.remove(j)
+                vals[j] = None
+            else:
+                prev[j] = best[j]
+        old = ts
+        step /= 2.0
+    return reports
+
+
+def _certify(D, N, sigma, best, t_best, ts, step, rounds) -> SupReport:
+    """The grid max on the final grid ts, with its certified upper bound."""
+    spacing = float(np.max(np.diff(ts)))
+    cap = D.abs_sum(sigma, N)
+    upper = min(best + D.lipschitz(sigma, N) * spacing / 2.0, cap)
+    # the cap and the grid max can coincide up to summation order; the
+    # certificate must never fall below the observed lower bound
+    upper = max(upper, best)
+    return SupReport(best, upper, t_best, step, rounds)
+
+
 def line_sup_report(
     D: DirichletSeries,
     N: Optional[int],
     grid: LineGrid,
     tol_sup: float = 1e-4,
-    max_rounds: int = 10,
+    max_rounds: int = _MAX_ROUNDS,
 ) -> SupReport:
     """Refine the grid (halving the step) until the max stabilizes.
 
@@ -204,33 +299,7 @@ def line_sup_report(
     the final round (``step`` reports the nominal one), capped by the
     coefficient-sum bound; it covers [t_min, t_max] on this line only.
     """
-    N = _check_N(D, N)
-    step = grid.step
-    best = -math.inf
-    t_best = grid.t_min
-    rounds = 0
-    prev = None
-    while True:
-        ts = grid.points(step)
-        vals = np.abs(_eval_line(D, grid.sigma, ts, N))
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            t_best = float(ts[i])
-        rounds += 1
-        if prev is not None and abs(best - prev) <= tol_sup * max(best, 1e-300):
-            break
-        if rounds >= max_rounds:
-            break
-        prev = best
-        step /= 2.0
-    spacing = float(np.max(np.diff(ts)))
-    cap = D.abs_sum(grid.sigma, N)
-    upper = min(best + D.lipschitz(grid.sigma, N) * spacing / 2.0, cap)
-    # the cap and the grid max can coincide up to summation order; the
-    # certificate must never fall below the observed lower bound
-    upper = max(upper, best)
-    return SupReport(best, upper, t_best, step, rounds)
+    return _refine_lines(D, _check_N(D, N), grid, (grid.sigma,), tol_sup, max_rounds)[0]
 
 
 @dataclass(frozen=True)
@@ -266,13 +335,12 @@ def halfplane_norm(
     (log-convexity plus decay at +inf), so the smallest sampled line
     dominates; the doubling ladder is kept as a cross-check and for reports.
     """
-    sups = []
-    uppers = []
+    if levels < 1:
+        raise ValueError("need levels >= 1")
     sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
-    for sg in sigmas:
-        rep = line_sup_report(D, None, LineGrid(sg, t_min, t_max, step), tol_sup)
-        sups.append(rep.value)
-        uppers.append(rep.certified_upper)
+    reports = _refine_lines(D, D.M, LineGrid(sigma_min, t_min, t_max, step), sigmas, tol_sup, _MAX_ROUNDS)
+    sups = [rep.value for rep in reports]
+    uppers = [rep.certified_upper for rep in reports]
     cap = D.abs_sum(0.0)
     estimate = max(sups)
     # same hairline as in line_sup_report: when the cap coincides with the

@@ -205,6 +205,10 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         # non-finite coefficients, read from a file or left by an overflow
         ["series", "sup", "--kind", "log", "--n", "3", "--coeffs-file", str(non_finite), "--grid-t-max", "10"],
         ["series", "translate", "--kind", "linear", "--n", "3", "--sigma", "-800"],
+        ["series", "eval", "--kind", "linear", "--n", "3", "--sigma", "-800"],
+        ["series", "norm", "--kind", "log", "--n", "12", "--levels", "0"],
+        ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "0"],
+        ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "-5"],
     ):
         _assert_exit_2(argv, capsys)
 

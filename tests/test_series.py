@@ -25,7 +25,8 @@ from gdseries import (
     write_coefficients_csv,
 )
 from gdseries.bounds import _partial_sup_profile
-from gdseries.series import _BLOCK_ENTRIES, _eval_line, _phase_blocks
+from gdseries import series as series_module
+from gdseries.series import _BLOCK_ENTRIES, NormReport, SupReport, _eval_line, _phase_blocks, _phase_sum
 
 
 def geometric(M=20):
@@ -267,3 +268,132 @@ def test_translate_overflow_is_an_error():
     D = DirichletSeries(make_frequency("linear", 3), np.ones(3))
     with pytest.raises(ValueError, match="finite"):
         translate(D, -800.0)
+
+
+# ---------------------------------------------------------------------------
+# the line-sup engine against the loop it replaces
+
+
+def _naive_line_sup(D, N, grid, tol_sup=1e-4, max_rounds=10):
+    """The refinement loop with every round evaluated on its whole grid."""
+    N = D.M if N is None else N
+    step, best, t_best, rounds, prev = grid.step, -math.inf, grid.t_min, 0, None
+    while True:
+        ts = grid.points(step)
+        vals = np.abs(_eval_line(D, grid.sigma, ts, N))
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, t_best = float(vals[i]), float(ts[i])
+        rounds += 1
+        if (prev is not None and abs(best - prev) <= tol_sup * max(best, 1e-300)) or rounds >= max_rounds:
+            break
+        prev = best
+        step /= 2.0
+    spacing = float(np.max(np.diff(ts)))
+    upper = min(best + D.lipschitz(grid.sigma, N) * spacing / 2.0, D.abs_sum(grid.sigma, N))
+    return SupReport(best, max(upper, best), t_best, step, rounds)
+
+
+def _naive_norm(D, t_min, t_max, step, sigma_min, levels, tol_sup):
+    """One naive line sup per level, combined as halfplane_norm combines them."""
+    sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
+    reps = [_naive_line_sup(D, None, LineGrid(sg, t_min, t_max, step), tol_sup) for sg in sigmas]
+    estimate = max(r.value for r in reps)
+    upper = max(min(max(r.certified_upper for r in reps), D.abs_sum(0.0)), estimate)
+    return NormReport(estimate, upper, sigmas, tuple(r.value for r in reps)), reps
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """Count the phase rows (points) that ``_eval_line`` is asked for."""
+    count = [0]
+    inner = series_module._eval_line
+
+    def counting(D, sigma, ts, N=None):
+        count[0] += ts.size
+        return inner(D, sigma, ts, N)
+
+    monkeypatch.setattr(series_module, "_eval_line", counting)
+    return count
+
+
+def _seeded(kind, M, seed):
+    rng = np.random.default_rng(seed)
+    return DirichletSeries(make_frequency(kind, M), rng.standard_normal(M) + 1j * rng.standard_normal(M))
+
+
+def _fresh_rows(grid, rounds):
+    """Rows a refinement needs: only the odd points of a true refinement, else all."""
+    total, old = 0, None
+    for j in range(rounds):
+        ts = grid.points(grid.step / 2.0**j)
+        refines = old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old)
+        total += old.size - 1 if refines else ts.size
+        old = ts
+    return total
+
+
+@pytest.mark.parametrize(
+    "M, N, window, max_rounds",
+    [
+        # 699 points per block: the 700 new points of round 2 take a full block
+        # and a block of one point
+        (3000, None, (0.0, 35.0, 0.05), 2),
+        # 20.3 / 0.09 and its halvings round to 226, 451, 902 and 1804 intervals:
+        # round 2 is not a true refinement and is evaluated afresh, rounds 3 and 4 are
+        (40, 25, (-3.0, 17.3, 0.09), 4),
+        (40, 25, (-3.0, 17.3, 0.09), 1),
+    ],
+    ids=["multi-block", "not-a-refinement", "one-round"],
+)
+def test_line_sup_report_is_bit_identical_to_full_grid_rounds(M, N, window, max_rounds, rows_built):
+    D = _seeded("log", M, 8)
+    grid = LineGrid(1e-3, *window)
+    want = _naive_line_sup(D, N, grid, tol_sup=1e-12, max_rounds=max_rounds)
+    rows_built[0] = 0
+    got = line_sup_report(D, N, grid, tol_sup=1e-12, max_rounds=max_rounds)
+    assert got == want
+    assert got.rounds == max_rounds
+    assert rows_built[0] == _fresh_rows(grid, max_rounds)
+
+
+def test_halfplane_norm_is_bit_identical_with_levels_stopping_in_different_rounds(rows_built):
+    D = _seeded("log", 60, 3)
+    args = (-3.0, 17.3, 0.09, 1e-3, 6, 1e-7)
+    want, reps = _naive_norm(D, *args)
+    assert len({r.rounds for r in reps}) > 1
+    rows_built[0] = 0
+    assert halfplane_norm(D, *args) == want
+    grid = LineGrid(1e-3, *args[:3])
+    assert rows_built[0] == _fresh_rows(grid, max(r.rounds for r in reps))
+
+
+def test_eval_line_gives_one_row_per_sigma():
+    D = _seeded("logprimes", 50, 1)
+    ts = LineGrid(0.0, 0.0, 10.0, 0.1).points()
+    rows = _eval_line(D, [0.0, 0.25, 1.0], ts, 30)
+    assert rows.shape == (3, ts.size)
+    for row, sigma in zip(rows, (0.0, 0.25, 1.0)):
+        assert np.array_equal(row, _eval_line(D, sigma, ts, 30))
+
+
+def test_phase_sum_of_one_amplitude_owns_its_output():
+    D = _seeded("log", 30, 2)
+    z = 1j * LineGrid(0.0, 0.0, 10.0, 0.1).points()
+    out = _phase_sum(z, D.freq.values, D.coeffs)
+    assert out.ndim == 1
+    assert out.flags.owndata
+
+
+def test_halfplane_norm_builds_each_phase_row_once(rows_built):
+    D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
+    halfplane_norm(D)
+    # 8 levels x (2001 + 4001) rows when every level rebuilt every round
+    assert rows_built[0] == 4001
+
+
+def test_line_sup_report_builds_only_the_new_points(rows_built):
+    D = DirichletSeries(make_frequency("log", 10_000), np.ones(10_000))
+    line_sup_report(D, None, LineGrid(1e-3, 0.0, 100.0, 0.05))
+    # 2001 + 4001 rows when each round rebuilt its whole grid
+    assert rows_built[0] == 4001
