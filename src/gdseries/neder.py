@@ -79,14 +79,34 @@ def fejer_polynomial(m: int) -> FejerPolynomial:
     return FejerPolynomial(m=m, coeffs=coeffs)
 
 
+_circle_powers_table = np.empty((_CIRCLE_POINTS, 0), dtype=complex)
+
+
+def _circle_powers(n: int) -> np.ndarray:
+    """z^j for the fejer_sup circle points z (rows) and j = 1..n (columns).
+
+    A read-only view of one table, built on first use with 2 * _FEJER_M_MAX - 1
+    columns and replaced by a wider one only when a larger n is asked for (the
+    process then keeps the widest table).  Each entry is computed on its own,
+    so a column is the same whatever the table's width, and ``view @ coeffs``
+    equals ``eval_many`` on the circle bit for bit.
+    """
+    global _circle_powers_table
+    if _circle_powers_table.shape[1] < n:
+        theta = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
+        js = np.arange(1, max(n, 2 * _FEJER_M_MAX - 1) + 1)
+        _circle_powers_table = np.power.outer(np.exp(1j * theta), js)
+        _circle_powers_table.setflags(write=False)
+    return _circle_powers_table[:, :n]
+
+
 def fejer_sup(m: int) -> float:
     """Max of |F_m| over 4096 equispaced points of the unit circle (the circle
     is enough, by the maximum principle)."""
     poly = fejer_polynomial(m)
     if m == 1:
         return 0.0
-    theta = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
-    return float(np.max(np.abs(poly.eval_many(np.exp(1j * theta)))))
+    return float(np.max(np.abs(_circle_powers(2 * m - 1) @ poly.coeffs)))
 
 
 @lru_cache(maxsize=1)

@@ -15,6 +15,14 @@ by side: ``paper_constant(k) = (e/pi) Gamma(k+1) / k`` (the small-k form) and
 ``int_0^inf (1+u^2)^(-(1+k)/2) du`` exactly.  Only ``c_exact`` is a valid
 bound for all 0 < k <= 1: at k = 1 the small-k form is below 1, which no
 uniform bound can be, since the order-1 means converge to the function itself.
+
+scipy is imported only when a quadrature runs.  ``quad`` below is a
+module-level function that imports ``scipy.integrate.quad`` on its first call
+and forwards to it; ``beta_identity`` imports ``gammaln`` itself.  So a
+process that never integrates (most CLI actions) never loads scipy, which is
+most of the package's import time.  ``quad`` stays a module-level name, and
+every quadrature here calls it through that name, so a wrapper that rebinds
+``riesz.quad`` (a profiler, a call counter) sees every integral.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency
@@ -43,6 +49,14 @@ __all__ = [
     "paper_constant",
     "proof_integral",
 ]
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call (see the module
+    docstring)."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def riesz_mean(D: DirichletSeries, k: float, x: float, s: complex = 0j) -> complex:
@@ -169,6 +183,8 @@ def beta_identity(alpha: float, beta: float, quad_tol: float = 1e-8) -> tuple:
     """
     if alpha <= -1 or beta <= 0:
         raise ValueError("need alpha > -1 and beta > 0 for integrability")
+    from scipy.special import gammaln
+
     lhs, _ = quad(
         lambda v: 1.0,
         0.0,

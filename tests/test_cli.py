@@ -3,11 +3,16 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import gdseries
 from gdseries.cli import ACTIONS, HANDLERS, RunConfig, build_parser, run
 
 # one fast, known-good invocation per (command, action)
@@ -266,3 +271,25 @@ def test_suite_exit_codes(capsys):
     data = json.loads(captured.out)
     assert data["failed"] == 1
     assert "[FAIL]" in captured.err
+
+
+def test_scipy_loads_only_for_quadrature():
+    # scipy is most of the import time of a CLI process; only the quadrature
+    # functions of riesz may load it, and only when they run
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import gdseries.cli as cli
+        from gdseries import riesz
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["freq", "make", "--kind", "log", "--n", "5"]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        riesz.beta_identity(1.0, 2.0)
+        print("scipy" in sys.modules)
+        """
+    )
+    src = str(Path(gdseries.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

@@ -43,6 +43,23 @@ def test_fejer_sup_max_is_bounded():
     assert max(sups) == c_obs
 
 
+def _circle_sup(m):
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    return float(np.max(np.abs(fejer_polynomial(m).eval_many(np.exp(1j * theta)))))
+
+
+def test_fejer_sup_equals_eval_many_bit_for_bit():
+    # fejer_sup reads prefix columns of one cached power table; m = 65 and 100
+    # need more columns than the table is first built with, and m = 300 then
+    # replaces it with a wider one, which must not change any value
+    ms = list(range(1, 65)) + [65, 100]
+    expected = [_circle_sup(m) for m in ms]
+    assert [fejer_sup(m) for m in ms] == expected
+    fejer_sup(300)
+    assert [fejer_sup(m) for m in ms] == expected
+    assert fejer_sup_max() == 3.6546588850074464
+
+
 def test_construction_r_values_for_unit_blocks():
     # x = 0.1 on integer frequencies: r_n = largest integer strictly below
     # e^(e^(2 x lambda_n) |I_k|)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdseries import riesz
 from gdseries import (
     DirichletSeries,
     Frequency,
@@ -196,3 +197,25 @@ def test_sigma_u_k_geometric_golden():
     est = sigma_u_k_estimate(D, 1.0, list(range(8, 49, 8)), LineGrid(0.0, 0.0, 2 * math.pi, 0.002))
     assert est.estimate == pytest.approx(0.07551062215360907, abs=1e-12)
     assert est.which == "sigma_u_k"
+
+
+def test_every_quadrature_goes_through_the_module_quad(monkeypatch):
+    # a profiler wraps the binding riesz.quad; a quadrature that imported
+    # scipy's quad directly would escape it
+    calls = []
+    lazy_quad = riesz.quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lazy_quad(*args, **kwargs)
+
+    monkeypatch.setattr(riesz, "quad", counting)
+    D = DirichletSeries(Frequency(np.array([0.0, 0.7])), np.array([1.0 + 0j, -0.5j]))
+    for run_one in (
+        lambda: beta_identity(1.0, 2.0),
+        lambda: check_fractional_identity(D, 0.5, 1.5, tau=1e-3),
+        lambda: proof_integral(0.5),
+    ):
+        calls.clear()
+        run_one()
+        assert calls
