@@ -20,6 +20,7 @@ sequence appropriate to its abscissa.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -311,19 +312,31 @@ def sigma_a_estimate(D: DirichletSeries) -> AbscissaEstimate:
     return windowed_limsup("sigma_a", _log_ratios(D.freq.values, mags))
 
 
-def _partial_sup_profile(D: DirichletSeries, grid: LineGrid) -> np.ndarray:
+def _partial_sup_profile(
+    D: DirichletSeries, grid: LineGrid, coeffs: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Grid sup of |S_N(sigma + it)| for every N at once.
 
     One pass over the grid with a cumulative sum along the coefficient axis;
-    entry N-1 is the sup for the length-N partial sum.
+    entry N-1 is the sup for the length-N partial sum.  ``coeffs``, a 2-D
+    stack of coefficient vectors over D's frequency, takes the place of
+    D.coeffs: the result has one row of sups per vector, from one build of
+    each phase block.
     """
     lam = D.freq.values
-    amp = D.coeffs * np.exp(-lam * grid.sigma)
-    sups = np.zeros(D.M)
-    for _, phase in _phase_blocks(1j * grid.points(), lam):
-        csum = np.cumsum(phase * amp, axis=1)
-        np.maximum(sups, np.abs(csum).max(axis=0), out=sups)
-    return sups
+    amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * np.exp(-lam * grid.sigma)
+    sups = np.zeros(amps.shape)
+    lock = threading.Lock()
+
+    def fold(_, phase):
+        for amp, sup in zip(amps, sups):
+            colmax = np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
+            # a column max is exact and order-free, so blocks may fold in any order
+            with lock:
+                np.maximum(sup, colmax, out=sup)
+
+    _phase_blocks(1j * grid.points(), lam, fold)
+    return sups[0] if coeffs is None else sups
 
 
 def sigma_u_estimate(D: DirichletSeries, grid: LineGrid) -> AbscissaEstimate:
@@ -343,7 +356,7 @@ def delta_sequence_estimate(
 
     Member j contributes max over the final-third N of
     log sup_t |S_N^{(j)}(it)| / lambda_N; the family-level windowed limsup of
-    those is the Delta estimate.
+    those is the Delta estimate.  The members share each phase block.
     """
     if len(family) < 1:
         raise ValueError("need a nonempty family")
@@ -351,10 +364,11 @@ def delta_sequence_estimate(
     for D in family[1:]:
         if not np.array_equal(D.freq.values, base):
             raise ValueError("family members must share one frequency")
+    line = LineGrid(0.0, grid.t_min, grid.t_max, grid.step)
+    profiles = _partial_sup_profile(family[0], line, np.array([D.coeffs for D in family]))
     pairs = []
-    for j, D in enumerate(family, start=1):
-        sups = _partial_sup_profile(D, LineGrid(0.0, grid.t_min, grid.t_max, grid.step))
-        ratios = [r for _, r in _log_ratios(D.freq.values, sups)]
+    for j, sups in enumerate(profiles, start=1):
+        ratios = [r for _, r in _log_ratios(base, sups)]
         if not ratios:
             continue
         w = max(1, math.ceil(len(ratios) / 3))

@@ -17,9 +17,16 @@ sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^21 entries (32 MiB), whatever M is.  Each value is one GEMV
-row, so it does not depend on the block a point falls in, and several amplitude
-vectors (lines Re s = sigma) share one phase row.
+4096 points and 2^18 entries (4 MiB), whatever M is.  The blocks of one call
+are striped over ``_WORKERS`` threads, one per core the process may run on (at
+most 8): worker w builds blocks w, w + W, ... in one reused buffer, and the
+calling thread is worker 0.  numpy releases the interpreter lock inside
+``exp`` and the GEMV, so the workers run in parallel.  This is bit-safe: a
+block is built by the same ufunc loops as ``np.exp(-np.outer(z, lambda))``,
+and each value is one GEMV row of a block of at least two rows (a one-row
+block is doubled), so no value depends on the block it falls in or the worker
+that built it.  Several amplitude vectors (lines Re s = sigma, members of a
+family) share one phase row.
 
 Line sups refine one t-window for all their lines together (``_refine_lines``):
 a round builds phase rows only for points the previous round lacked, and each
@@ -36,6 +43,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -64,7 +73,11 @@ __all__ = [
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _BLOCK_POINTS = 4096
-_BLOCK_ENTRIES = 1 << 21
+_BLOCK_ENTRIES = 1 << 18
+# at most 8 blocks in flight keeps the phase memory within 32 MiB
+_WORKERS = min(
+    8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 _MAX_ROUNDS = 10
 
 
@@ -156,11 +169,43 @@ def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex
     return complex(total)
 
 
-def _phase_blocks(z: np.ndarray, lam: np.ndarray):
-    """Yield (offset, exp(-outer(z[offset:offset + rows], lam))) block by block over z."""
+def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable) -> None:
+    """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
+
+    The blocks are striped over ``_WORKERS`` threads, the calling one included;
+    a call with one block starts no thread.  ``work`` may run concurrently
+    with itself and must not keep ``phase``, whose buffer the next block reuses.
+    The first exception raised in any worker is re-raised here once every
+    worker has stopped.
+    """
     rows = max(1, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, lam.size)))
-    for lo in range(0, z.size, rows):
-        yield lo, np.exp(-np.outer(z[lo : lo + rows], lam))
+    starts = range(0, z.size, rows)
+    workers = max(1, min(_WORKERS, len(starts)))
+    errors = []
+
+    def stripe(w: int) -> None:
+        try:
+            buf = np.empty((min(rows, z.size), lam.size), dtype=complex)
+            for lo in starts[w::workers]:
+                if errors:
+                    return
+                phase = buf[: min(rows, z.size - lo)]
+                # the ufunc loops of np.exp(-np.outer(...)), in place
+                np.multiply.outer(z[lo : lo + rows], lam, out=phase)
+                np.negative(phase, out=phase)
+                np.exp(phase, out=phase)
+                work(lo, phase)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=stripe, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    stripe(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _phase_sum(z: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -170,13 +215,16 @@ def _phase_sum(z: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
     phase block; the result has one row per stacked vector.
     """
     out = np.empty(amp.shape[:-1] + (z.size,), dtype=complex)
-    for lo, phase in _phase_blocks(z, lam):
+
+    def gemv(lo: int, phase: np.ndarray) -> None:
         rows = phase.shape[0]
         if rows == 1:
             # numpy sums a one-row product as a dot, in another order than GEMV
             phase = np.repeat(phase, 2, axis=0)
         for k in np.ndindex(amp.shape[:-1]):
             out[k][lo : lo + rows] = (phase @ amp[k])[:rows]
+
+    _phase_blocks(z, lam, gemv)
     return out
 
 
@@ -337,6 +385,9 @@ def halfplane_norm(
     """
     if levels < 1:
         raise ValueError("need levels >= 1")
+    # 2.0**j overflows from j = 1024 on
+    if levels > 1024 or not math.isfinite(sigma_min * 2.0 ** (levels - 1)):
+        raise ValueError(f"the top level sigma_min * 2^{levels - 1} is not finite")
     sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
     reports = _refine_lines(D, D.M, LineGrid(sigma_min, t_min, t_max, step), sigmas, tol_sup, _MAX_ROUNDS)
     sups = [rep.value for rep in reports]

@@ -20,7 +20,9 @@ from gdseries import (
     sn_bound_optimal,
     theorem_bound_profile,
 )
-from gdseries.bounds import _partial_sup_profile
+from gdseries import bounds as bounds_module
+from gdseries.bounds import _log_ratios, _partial_sup_profile
+from gdseries.estimates import windowed_limsup
 
 small_series = st.builds(
     lambda gaps, re, im: DirichletSeries(
@@ -208,3 +210,36 @@ def test_delta_sequence_requires_shared_frequency():
     fam_bad = [fam_good[0], DirichletSeries(other, np.ones(16, dtype=complex))]
     with pytest.raises(ValueError):
         delta_sequence_estimate(fam_bad, grid)
+
+
+def test_delta_family_shares_each_phase_block(monkeypatch):
+    M, count = 400, 5
+    freq = make_frequency("log", M)
+    rng = np.random.default_rng(9)
+    family = [DirichletSeries(freq, rng.standard_normal(M) + 1j * rng.standard_normal(M)) for _ in range(count)]
+    grid = LineGrid(0.0, 0.0, 100.0, 0.05)
+    # one profile per member, as each member was evaluated on its own
+    members = [_partial_sup_profile(D, grid) for D in family]
+    pairs = []
+    for j, sups in enumerate(members, start=1):
+        ratios = [r for _, r in _log_ratios(freq.values, sups)]
+        pairs.append((j, max(ratios[-math.ceil(len(ratios) / 3):])))
+
+    built = []
+    inner = bounds_module._phase_blocks
+
+    def counting(z, lam, work):
+        def counted(lo, phase):
+            built.append(lo)
+            work(lo, phase)
+
+        inner(z, lam, counted)
+
+    monkeypatch.setattr(bounds_module, "_phase_blocks", counting)
+    stacked = _partial_sup_profile(family[0], grid, np.array([D.coeffs for D in family]))
+    for row, sups in zip(stacked, members):
+        assert np.array_equal(row, sups)
+    built.clear()
+    assert delta_sequence_estimate(family, grid) == windowed_limsup("Delta", pairs)
+    # 2001 points in blocks of 655: four blocks, each built once for all members
+    assert sorted(built) == [0, 655, 1310, 1965]

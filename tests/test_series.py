@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,15 @@ from gdseries import (
 )
 from gdseries.bounds import _partial_sup_profile
 from gdseries import series as series_module
-from gdseries.series import _BLOCK_ENTRIES, NormReport, SupReport, _eval_line, _phase_blocks, _phase_sum
+from gdseries.series import (
+    _BLOCK_ENTRIES,
+    NormReport,
+    SupReport,
+    _eval_line,
+    _eval_points,
+    _phase_blocks,
+    _phase_sum,
+)
 
 
 def geometric(M=20):
@@ -119,16 +129,24 @@ def test_with_self_reference_evaluates_the_full_sum():
     assert abs(D.reference(s) - evaluate(D, s)) < 1e-14
 
 
-def test_kernel_blocks_match_one_shot_expressions():
-    # M = 3000 puts 699 points in a block, so the 2001-point grid takes three
+def test_kernel_blocks_match_one_shot_expressions(monkeypatch):
+    # M = 3000 puts 87 points in a block, so the 2001-point grid takes 23,
+    # striped over at least two workers
+    monkeypatch.setattr(series_module, "_WORKERS", max(2, series_module._WORKERS))
     M = 3000
     rng = np.random.default_rng(5)
     D = DirichletSeries(make_frequency("log", M), rng.standard_normal(M) + 1j * rng.standard_normal(M))
     grid = LineGrid(1e-3, 0.0, 100.0, 0.05)
     ts, lam = grid.points(), D.freq.values
     amp = D.coeffs * np.exp(-lam * grid.sigma)
-    sizes = [phase.shape[0] for _, phase in _phase_blocks(1j * ts, lam)]
-    assert sizes == [_BLOCK_ENTRIES // M] * 2 + [ts.size - 2 * (_BLOCK_ENTRIES // M)]
+    blocks = []
+    _phase_blocks(1j * ts, lam, lambda lo, phase: blocks.append((lo, phase.shape[0], threading.get_ident())))
+    rows = _BLOCK_ENTRIES // M
+    assert sorted((lo, size) for lo, size, _ in blocks) == [
+        (lo, min(rows, ts.size - lo)) for lo in range(0, ts.size, rows)
+    ]
+    assert len(blocks) > 2
+    assert len({ident for _, _, ident in blocks}) >= 2
 
     phase = np.exp(-1j * np.outer(ts, lam))
     assert np.array_equal(_eval_line(D, grid.sigma, ts), phase @ amp)
@@ -338,7 +356,7 @@ def _fresh_rows(grid, rounds):
     [
         # 699 points per block: the 700 new points of round 2 take a full block
         # and a block of one point
-        (3000, None, (0.0, 35.0, 0.05), 2),
+        (375, None, (0.0, 35.0, 0.05), 2),
         # 20.3 / 0.09 and its halvings round to 226, 451, 902 and 1804 intervals:
         # round 2 is not a true refinement and is evaluated afresh, rounds 3 and 4 are
         (40, 25, (-3.0, 17.3, 0.09), 4),
@@ -397,3 +415,90 @@ def test_line_sup_report_builds_only_the_new_points(rows_built):
     line_sup_report(D, None, LineGrid(1e-3, 0.0, 100.0, 0.05))
     # 2001 + 4001 rows when each round rebuilt its whole grid
     assert rows_built[0] == 4001
+
+
+@pytest.fixture
+def striped():
+    """A series and a grid whose 1399 points take two full blocks and one of one row."""
+    D = _seeded("log", 375, 4)
+    grid = LineGrid(0.2, 0.0, 69.9, 0.05)
+    rows = _BLOCK_ENTRIES // D.M
+    assert grid.points().size == 2 * rows + 1
+    return D, grid
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_results_do_not_depend_on_the_worker_count(striped, workers, monkeypatch):
+    D, grid = striped
+    ts = grid.points()
+
+    def results():
+        return [
+            _eval_line(D, grid.sigma, ts),
+            _eval_line(D, [0.0, grid.sigma, 1.0], ts, 300),
+            _eval_points(D, grid.sigma + 1j * ts),
+            _partial_sup_profile(D, grid),
+            line_sup_report(D, None, grid),
+            halfplane_norm(D, 0.0, 69.9, 0.05),
+        ]
+
+    monkeypatch.setattr(series_module, "_WORKERS", 1)
+    want = results()
+    monkeypatch.setattr(series_module, "_WORKERS", workers)
+    got = results()
+    for g, w in zip(got[:4], want[:4]):
+        assert np.array_equal(g, w)
+    assert got[4:] == want[4:]
+
+
+@pytest.mark.parametrize("raise_in_caller", [False, True])
+def test_phase_blocks_reraise_a_worker_exception_and_leave_no_thread(raise_in_caller, monkeypatch):
+    monkeypatch.setattr(series_module, "_WORKERS", 3)
+    monkeypatch.setattr(series_module, "_BLOCK_POINTS", 2)
+    before = threading.active_count()
+    caller = threading.get_ident()
+
+    def work(lo, phase):
+        if (threading.get_ident() == caller) == raise_in_caller:
+            raise RuntimeError(f"block at {lo}")
+
+    with pytest.raises(RuntimeError, match="block at"):
+        _phase_blocks(1j * np.arange(20.0), np.arange(1.0, 5.0), work)
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    monkeypatch.setattr(series_module, "_WORKERS", 2)
+    D = _seeded("log", 20, 6)
+    ts = LineGrid(0.0, 0.0, 100.0, 0.05).points()
+    _eval_line(D, 0.0, ts)
+    assert started == []
+    # a grid of two blocks does start the second worker
+    _eval_line(D, 0.0, np.concatenate([ts, ts, ts]))
+    assert len(started) == 1
+
+
+def test_partial_sup_profile_folds_every_block_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: a lost update in
+    # the fold of column maxima would leave some sup below its serial value
+    D = _seeded("log", 4096, 10)
+    grid = LineGrid(0.0, 0.0, 20.0, 0.05)
+    monkeypatch.setattr(series_module, "_BLOCK_POINTS", 4)
+    monkeypatch.setattr(series_module, "_WORKERS", 1)
+    want = _partial_sup_profile(D, grid)
+    monkeypatch.setattr(series_module, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(_partial_sup_profile(D, grid), want)
+    finally:
+        sys.setswitchinterval(interval)
