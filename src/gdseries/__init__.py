@@ -6,157 +6,22 @@ and their integral identities in ``riesz``; partial-sum bounds and abscissa
 estimators in ``bounds``; the truncated Perron formula in ``perron``; the
 Neder divergent-but-Cauchy construction in ``neder``.  ``cli`` wires every
 operation to a subcommand.
+
+Public names are declared in one place only: the ``__all__`` of the module
+that defines them.  The package re-exports every one of them, and its own
+``__all__`` is their union.
 """
 
-from .estimates import AbscissaEstimate, windowed_limsup
-from .frequency import (
-    BUILTIN_KINDS,
-    ConditionReport,
-    Frequency,
-    check_bc,
-    check_lc,
-    check_poly_growth,
-    estimate_L,
-    make_frequency,
-    read_frequency_file,
-    refine_gaps,
-)
-from .series import (
-    DirichletSeries,
-    LineGrid,
-    NormReport,
-    SupReport,
-    builtin_coefficients,
-    coefficient_recover,
-    evaluate,
-    halfplane_norm,
-    line_sup_report,
-    read_coefficients_csv,
-    series_from_descriptor,
-    translate,
-    with_self_reference,
-    write_coefficients_csv,
-)
-from .riesz import (
-    beta_identity,
-    c_exact,
-    check_abel_integral,
-    check_fractional_identity,
-    paper_constant,
-    proof_integral,
-    riesz_mean,
-    riesz_truncation,
-    riesz_uniform_error,
-    sigma_u_k_estimate,
-    typical_mean_A,
-)
-from .bounds import (
-    KroneckerNorm,
-    ProfileReport,
-    ProfileRow,
-    SnBound,
-    delta_sequence_estimate,
-    hardy_check,
-    kronecker_norm,
-    sigma_a_estimate,
-    sigma_c_estimate,
-    sigma_u_estimate,
-    sn_bound,
-    sn_bound_optimal,
-    theorem_bound_profile,
-)
-from .perron import (
-    PerronComparison,
-    PerronQuery,
-    PerronResult,
-    perron_integral,
-    perron_vs_direct,
-    required_T,
-    tail_bound,
-)
-from .neder import (
-    DivergenceRow,
-    FejerPolynomial,
-    NederConstruction,
-    NederEntry,
-    fejer_identity_residual,
-    fejer_polynomial,
-    fejer_sup,
-    fejer_sup_max,
-    neder_cauchy_check,
-    neder_construct,
-    neder_divergence_check,
-)
+from . import estimates, frequency, series, riesz, bounds, perron, neder
+from .estimates import *  # noqa: F401,F403
+from .frequency import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .riesz import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .perron import *  # noqa: F401,F403
+from .neder import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbscissaEstimate",
-    "windowed_limsup",
-    "BUILTIN_KINDS",
-    "ConditionReport",
-    "Frequency",
-    "check_bc",
-    "check_lc",
-    "check_poly_growth",
-    "estimate_L",
-    "make_frequency",
-    "read_frequency_file",
-    "refine_gaps",
-    "DirichletSeries",
-    "LineGrid",
-    "NormReport",
-    "SupReport",
-    "builtin_coefficients",
-    "coefficient_recover",
-    "evaluate",
-    "halfplane_norm",
-    "line_sup_report",
-    "read_coefficients_csv",
-    "series_from_descriptor",
-    "translate",
-    "with_self_reference",
-    "write_coefficients_csv",
-    "beta_identity",
-    "c_exact",
-    "check_abel_integral",
-    "check_fractional_identity",
-    "paper_constant",
-    "proof_integral",
-    "riesz_mean",
-    "riesz_truncation",
-    "riesz_uniform_error",
-    "sigma_u_k_estimate",
-    "typical_mean_A",
-    "KroneckerNorm",
-    "ProfileReport",
-    "ProfileRow",
-    "SnBound",
-    "delta_sequence_estimate",
-    "hardy_check",
-    "kronecker_norm",
-    "sigma_a_estimate",
-    "sigma_c_estimate",
-    "sigma_u_estimate",
-    "sn_bound",
-    "sn_bound_optimal",
-    "theorem_bound_profile",
-    "PerronComparison",
-    "PerronQuery",
-    "PerronResult",
-    "perron_integral",
-    "perron_vs_direct",
-    "required_T",
-    "tail_bound",
-    "DivergenceRow",
-    "FejerPolynomial",
-    "NederConstruction",
-    "NederEntry",
-    "fejer_identity_residual",
-    "fejer_polynomial",
-    "fejer_sup",
-    "fejer_sup_max",
-    "neder_cauchy_check",
-    "neder_construct",
-    "neder_divergence_check",
-]
+_MODULES = (estimates, frequency, series, riesz, bounds, perron, neder)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -231,7 +231,6 @@ def theorem_bound_profile(
     params: Optional[Dict[str, float]] = None,
     Ns: Union[Sequence[int], slice, None] = None,
     variant: str = "paper",
-    auto_refine: bool = True,
 ) -> ProfileReport:
     """Per-N bound factors with the regime's natural order choice.
 
@@ -240,7 +239,7 @@ def theorem_bound_profile(
     with ratio = exp(log_bound - log_envelope).  Under the regime's gap
     condition the ratio is bounded along N, which is what the profile is for.
 
-    Frequencies with a gap above 1 are refined first (``auto_refine``), since
+    Frequencies with a gap above 1 are refined first, since
     the bound is monotone under gap refinement while the envelope is not.
     ``Ns`` may be a slice; a missing start or step is 1, a missing stop the refined M.
     """
@@ -249,10 +248,9 @@ def theorem_bound_profile(
         raise ValueError("lc regime needs params['delta']")
     if regime == "poly" and "d" not in params:
         raise ValueError("poly regime needs params['d']")
-    refined = False
-    if auto_refine and freq.M >= 2 and float(np.max(freq.gaps)) > 1.0:
+    refined = freq.M >= 2 and float(np.max(freq.gaps)) > 1.0
+    if refined:
         freq = refine_gaps(freq)
-        refined = True
     if Ns is None:
         Ns = slice(None)
     if isinstance(Ns, slice):

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,18 +43,28 @@ __all__ = ["ACTIONS", "HANDLERS", "RunConfig", "build_parser", "run", "main"]
 Flag = Tuple[str, dict]
 
 
-def _flag(name: str, type: Optional[Callable] = float, default: Any = None, **kw) -> Flag:
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _flag(name: str, type: Optional[Callable] = _finite, default: Any = None, **kw) -> Flag:
     """One flag: its name and its ``add_argument`` keywords (``type=None`` takes strings)."""
     if type is not None:
         kw["type"] = type
     return name, dict(kw, default=default)
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
 
 
 # every action takes these
@@ -65,7 +76,7 @@ SEED = _flag("--seed", int, 7)
 FREQ_FLAGS = (
     _flag("--kind", None, "log", choices=BUILTIN_KINDS),
     _flag("--n", int, 100, help="frequency length M"),
-    _flag("--params", float, nargs="*", help="values for custom-from-list"),
+    _flag("--params", nargs="*", help="values for custom-from-list"),
     _flag("--freq-file", None, metavar="PATH"),
 )
 SERIES_FLAGS = FREQ_FLAGS + (
@@ -77,26 +88,26 @@ SERIES_FLAGS = FREQ_FLAGS + (
 SOURCES = {None: (), "freq": FREQ_FLAGS, "series": SERIES_FLAGS}
 
 # flags shared by several actions
-K = _flag("--k", float, required=True)
-X = _flag("--x", float, required=True)
-L = _flag("--l", float, required=True)
-DELTA = _flag("--delta", float, required=True)
-POINT = (_flag("--sigma", float, 0.0), _flag("--t", float, 0.0))
+K = _flag("--k", required=True)
+X = _flag("--x", required=True)
+L = _flag("--l", required=True)
+DELTA = _flag("--delta", required=True)
+POINT = (_flag("--sigma", _finite, 0.0), _flag("--t", _finite, 0.0))
 N_TERMS = _flag("--n-terms", int)
 N_INDEX = _flag("--n-index", int, required=True)
-TAU = _flag("--tau", float, 1e-4)
+TAU = _flag("--tau", _finite, 1e-4)
 VARIANT = _flag("--variant", None, "paper", choices=("paper", "exact"))
-EPSILON = _flag("--epsilon", float, 1.0)
-T_HEIGHT = _flag("--t-height", float, 1e3)
-F_NORM = _flag("--f-norm", float)
+EPSILON = _flag("--epsilon", _finite, 1.0)
+T_HEIGHT = _flag("--t-height", _finite, 1e3)
+F_NORM = _flag("--f-norm")
 TOL_SUP = _flag("--tol-sup", _positive, 1e-4)
 QUAD_TOL = _flag("--quad-tol", _positive, 1e-8)
 TOL_SLOPE = _flag("--tol-slope", _positive, 1e-3)
 GRID_STEP = _flag("--grid-step", _positive, 0.05)
 # a t-window, and a t-window on the line Re s = --grid-sigma
-WINDOW = (_flag("--grid-t-min", float, 0.0), _flag("--grid-t-max", float, 100.0), GRID_STEP)
-LINE = (_flag("--grid-sigma", float, 1e-3),) + WINDOW
-PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step", float, 0.05), F_NORM, QUAD_TOL)
+WINDOW = (_flag("--grid-t-min", _finite, 0.0), _flag("--grid-t-max", _finite, 100.0), GRID_STEP)
+LINE = (_flag("--grid-sigma", _finite, 1e-3),) + WINDOW
+PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step", _finite, 0.05), F_NORM, QUAD_TOL)
 NEDER = (X, _flag("--r-cap", int), _flag("--point-budget", int, 10_000))
 
 
@@ -331,8 +342,7 @@ def _neder_fejer(cfg):
 def _suite_acceptance(cfg):
     results = acceptance.run_all(cfg.seed, cfg.only or None)
     print(acceptance.format_table(results), file=sys.stderr)
-    # timings vary; the JSON must not
-    criteria = [{k: v for k, v in r.to_dict().items() if k != "elapsedSeconds"} for r in results]
+    criteria = [r.to_dict() for r in results]
     failed = sum(not r.passed for r in results)
     return {"seed": cfg.seed, "criteria": criteria, "passed": len(results) - failed, "failed": failed}
 
@@ -375,7 +385,7 @@ _REGISTRY = (
     Action("freq", "check-lc", "freq", ("frequency.check_lc",), (DELTA, TOL_SLOPE),
            lambda cfg: frequency.check_lc(cfg.frequency(), cfg.delta, cfg.tol_slope)),
     Action("freq", "check-poly", "freq", ("frequency.check_poly_growth",),
-           (L, _flag("--d", float, required=True), DELTA, TOL_SLOPE),
+           (L, _flag("--d", required=True), DELTA, TOL_SLOPE),
            lambda cfg: frequency.check_poly_growth(cfg.frequency(), cfg.l, cfg.d, cfg.delta, cfg.tol_slope)),
     Action("freq", "density", "freq", ("frequency.estimate_L",), (),
            lambda cfg: _with_ratios(frequency.estimate_L(cfg.frequency()))),
@@ -390,7 +400,7 @@ _REGISTRY = (
                                              cfg.grid_sigma, cfg.levels, cfg.tol_sup)),
     Action("series", "translate", "series", ("series.translate",), POINT, _series_translate),
     Action("series", "recover", "series", ("series.coefficient_recover",),
-           (N_INDEX, _flag("--sigma", float, 1.0), _flag("--t-height", float, 1e4), GRID_STEP),
+           (N_INDEX, _flag("--sigma", _finite, 1.0), _flag("--t-height", _finite, 1e4), GRID_STEP),
            _series_recover),
     Action("series", "coeffs", "series",
            ("series.builtin_coefficients", "series.read_coefficients_csv", "series.write_coefficients_csv"),
@@ -400,20 +410,20 @@ _REGISTRY = (
     Action("riesz", "typical", "series", ("riesz.typical_mean_A",), (K, X) + POINT, _riesz_typical),
     Action("riesz", "abel", "series", ("riesz.check_abel_integral",), (K, X, QUAD_TOL), _riesz_abel),
     Action("riesz", "fractional", "series", ("riesz.check_fractional_identity",),
-           (K, _flag("--t-point", float, required=True), TAU, QUAD_TOL), _riesz_fractional),
+           (K, _flag("--t-point", required=True), TAU, QUAD_TOL), _riesz_fractional),
     Action("riesz", "beta", None, ("riesz.beta_identity",),
-           (_flag("--alpha", float, required=True), _flag("--beta", float, required=True), QUAD_TOL),
+           (_flag("--alpha", required=True), _flag("--beta", required=True), QUAD_TOL),
            _riesz_beta),
     Action("riesz", "error", "series", ("riesz.riesz_uniform_error", "series.with_self_reference"),
-           (K, X, _flag("--sigma", float, 0.5),
+           (K, X, _flag("--sigma", _finite, 0.5),
             _flag("--self-reference", None, True, action=argparse.BooleanOptionalAction)) + WINDOW,
            _riesz_error),
     Action("riesz", "sigma-u-k", "series", ("riesz.sigma_u_k_estimate",),
-           (K, _flag("--xs", float, required=True, nargs="+"), TOL_SUP) + WINDOW,
+           (K, _flag("--xs", required=True, nargs="+"), TOL_SUP) + WINDOW,
            lambda cfg: _with_ratios(
                riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(0.0), cfg.tol_sup))),
     Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
-           (_flag("--k", float, 1.0),), _riesz_constants),
+           (_flag("--k", _finite, 1.0),), _riesz_constants),
     Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
            lambda cfg: bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant)),
     Action("bound", "sn-opt", "freq", ("bounds.sn_bound_optimal",), (N_INDEX, VARIANT),
@@ -450,7 +460,8 @@ _REGISTRY = (
            NEDER + (_flag("--k-prefix", int, 3), _flag("--samples", int, 10), SEED), _neder_identity),
     Action("neder", "fejer", None, ("neder.fejer_polynomial", "neder.fejer_sup", "neder.fejer_sup_max"),
            (_flag("--m", int, 3),), _neder_fejer),
-    Action("suite", "acceptance", None, ("acceptance.run_all", "acceptance.run_criterion"),
+    Action("suite", "acceptance", None,
+           ("acceptance.run_all", "acceptance.run_criterion", "acceptance.format_table"),
            (_flag("--only", int, nargs="*", help="criterion ids to run"), SEED), _suite_acceptance),
 )
 ACTIONS: Dict[Tuple[str, str], Action] = {(a.command, a.name): a for a in _REGISTRY}
@@ -496,18 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 # output
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _render_csv(table) -> str:

@@ -390,17 +390,13 @@ def check_poly_growth(
 def estimate_L(freq: Frequency) -> AbscissaEstimate:
     """Windowed limsup of log(N) / lambda_N over N = 2..M.
 
-    Indices with ``lambda_N = 0`` are skipped (only N = 1 can hit that).
+    N = 1 is left out: it is the only index where ``lambda_N`` can be 0.
     """
     if freq.M < 3:
         raise ValueError("estimate_L needs M >= 3")
     ns = np.arange(2, freq.M + 1)
-    lam = freq.values[1:]
-    mask = lam > 0
-    if not np.any(mask):
-        return AbscissaEstimate("L", (), float("-inf"), 0, "inconclusive")
-    ratios = np.log(ns[mask].astype(float)) / lam[mask]
-    return windowed_limsup("L", zip(ns[mask], ratios))
+    ratios = np.log(ns.astype(float)) / freq.values[1:]
+    return windowed_limsup("L", zip(ns, ratios))
 
 
 def refine_gaps(freq: Frequency) -> Frequency:

@@ -91,6 +91,8 @@ class LineGrid:
     step: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.sigma, self.t_min, self.t_max, self.step))):
+            raise ValueError("grid values must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if not self.t_min < self.t_max:
@@ -474,12 +476,8 @@ def coefficient_recover(
 
 def read_coefficients_csv(path) -> np.ndarray:
     """Read coefficients from CSV with header ``index,re,im``."""
-    text = Path(path).read_text()
-    return _parse_coefficients_csv(text, name=str(path))
-
-
-def _parse_coefficients_csv(text: str, name: str = "<csv>") -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(text)))
+    name = str(path)
+    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows or [c.strip() for c in rows[0]] != ["index", "re", "im"]:
         raise ValueError(f"{name}: expected header 'index,re,im'")
@@ -496,20 +494,13 @@ def _parse_coefficients_csv(text: str, name: str = "<csv>") -> np.ndarray:
     return np.asarray(coeffs, dtype=complex)
 
 
-def write_coefficients_csv(path_or_fp, coeffs: Sequence[complex]) -> None:
+def write_coefficients_csv(path, coeffs: Sequence[complex]) -> None:
     """Write coefficients as CSV with header ``index,re,im``."""
-
-    def _write(fp):
+    with open(path, "w", newline="") as fp:
         w = csv.writer(fp, lineterminator="\n")
         w.writerow(["index", "re", "im"])
         for k, c in enumerate(np.asarray(coeffs, dtype=complex), start=1):
             w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
-
-    if hasattr(path_or_fp, "write"):
-        _write(path_or_fp)
-    else:
-        with open(path_or_fp, "w", newline="") as fp:
-            _write(fp)
 
 
 #: Builtin coefficient tags for descriptors and the command line.
@@ -566,12 +557,9 @@ def series_from_descriptor(
     elif isinstance(fspec, str) and (fspec.endswith(".txt") or "/" in fspec):
         freq = read_frequency_file(fspec)
     else:
-        if coeffs is None and not isinstance(cspec, str):
-            raise ValueError("cannot infer M; give frequency as a dict with 'm'")
-        m = len(coeffs) if coeffs is not None else None
-        if m is None:
-            raise ValueError("frequency tag needs coefficients file to fix M")
-        freq = make_frequency(str(fspec), m)
+        if coeffs is None:
+            raise ValueError("a frequency tag needs a coefficients file")
+        freq = make_frequency(str(fspec), len(coeffs))
 
     if coeffs is None:
         coeffs = builtin_coefficients(str(cspec), freq.M, seed=seed)

@@ -92,10 +92,8 @@ def test_profile_lc_linear_is_flat():
 
 def test_profile_refines_coarse_frequencies():
     freq = Frequency(np.array([0.0, 5.0, 10.0, 30.0]))
-    prof = theorem_bound_profile(freq, "bc", {}, Ns=[2], auto_refine=True)
+    prof = theorem_bound_profile(freq, "bc", {}, Ns=[2])
     assert prof.refined
-    coarse = theorem_bound_profile(freq, "bc", {}, Ns=[2], auto_refine=False)
-    assert not coarse.refined
 
 
 def test_profile_rejects_unknown_regime():

@@ -74,10 +74,18 @@ def test_every_operation_has_exactly_one_subcommand():
         for op in entry.ops:
             assert op not in seen, f"{op} owned by both {seen[op]} and {key}"
             seen[op] = key
+    modules = {op.split(".")[0] for op in seen}
     for op in seen:
         module, name = op.split(".")
         mod = importlib.import_module(f"gdseries.{module}")
-        assert hasattr(mod, name), f"dispatch names missing function {op}"
+        assert name in mod.__all__, f"registry names {op}, which is not in gdseries.{module}.__all__"
+    # the modules' public operations: every callable in __all__ but the classes
+    for module in modules:
+        mod = importlib.import_module(f"gdseries.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not isinstance(obj, type):
+                assert f"{module}.{name}" in seen, f"{module}.{name} is reachable from no subcommand"
 
 
 def test_handlers_cover_dispatch_exactly():
@@ -188,6 +196,15 @@ def test_usage_errors_exit_2(capsys):
         ["suite", "acceptance", "--only", "99"],
         # sigma-u evaluates on Re s = 0 and takes no line
         ["abscissa", "sigma-u", "--kind", "log", "--n", "16", "--grid-t-max", "20", "--grid-sigma", "0.5"],
+        # non-finite numbers
+        ["series", "sup", "--kind", "log", "--n", "12", "--grid-sigma", "nan"],
+        ["series", "sup", "--kind", "log", "--n", "12", "--grid-t-max", "inf"],
+        ["series", "sup", "--kind", "log", "--n", "12", "--tol-sup", "nan"],
+        ["riesz", "mean", "--kind", "linear", "--n", "6", "--k", "1", "--x", "nan"],
+        ["riesz", "error", "--kind", "linear", "--n", "8", "--k", "1", "--x", "4.0", "--sigma", "nan"],
+        ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "nan"],
+        ["neder", "build", "--kind", "linear", "--n", "6", "--x", "nan"],
+        ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "lc", "--delta", "nan"],
     ):
         _assert_exit_2(argv, capsys)
 
@@ -232,6 +249,16 @@ def test_profile_range_flags_resolve_against_the_refined_frequency(capsys):
     assert json.loads(capsys.readouterr().out)["rows"] == rows
     assert run(argv + ["--n-stop", "5"]) == 0  # honoured without --n-start too
     assert json.loads(capsys.readouterr().out)["rows"] == rows[:3]
+
+
+def test_riesz_truncate_below_the_first_frequency_is_empty(capsys):
+    # x = 0.5 <= lambda_1 = 1, so no term survives
+    argv = ["riesz", "truncate", "--kind", "custom-from-list", "--n", "2", "--params", "1", "2",
+            "--k", "0.5", "--x", "0.5"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"empty": True, "terms": 0}
+    assert run(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "index,re,im\n"
 
 
 def test_csv_format_for_two_column_tables(capsys):

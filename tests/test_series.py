@@ -92,6 +92,15 @@ def test_line_grid_rejects_empty_window():
         LineGrid(0.5, 3.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_line_grid_rejects_non_finite_values(field, bad):
+    args = [0.5, 0.0, 2.0, 0.3]
+    args[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LineGrid(*args)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_series)
 def test_line_sup_below_coefficient_sum(D):
@@ -121,6 +130,15 @@ def test_translate_shifts_evaluation():
     w = 0.4 + 0.9j
     s = 0.2 - 0.3j
     assert abs(evaluate(translate(D, w), s) - evaluate(D, s + w)) < 1e-12
+
+
+def test_translate_carries_the_reference():
+    D = with_self_reference(geometric(8))
+    s0 = 0.3 + 0.5j
+    shifted = translate(D, s0)
+    s = np.array([0.7 + 0.1j, 1.2 - 2.0j])
+    assert np.array_equal(shifted.reference(s), D.reference(s + s0))
+    assert abs(shifted.reference(s)[0] - evaluate(shifted, s[0])) < 1e-12
 
 
 def test_with_self_reference_evaluates_the_full_sum():
@@ -269,6 +287,16 @@ def test_series_from_descriptor_with_files(tmp_path):
     D = series_from_descriptor({"frequency": str(fpath), "coefficients": str(cpath)})
     assert D.M == 3
     assert D.freq.values.tolist() == [0.0, 0.5, 2.0]
+
+
+def test_series_from_descriptor_frequency_tag_takes_m_from_the_coefficients(tmp_path):
+    cpath = tmp_path / "c.csv"
+    write_coefficients_csv(cpath, [1 + 1j, 2 + 0j, -1 + 0j])
+    D = series_from_descriptor({"frequency": "linear", "coefficients": str(cpath)})
+    assert np.array_equal(D.freq.values, make_frequency("linear", 3).values)
+    assert D.coeffs.tolist() == [1 + 1j, 2 + 0j, -1 + 0j]
+    with pytest.raises(ValueError, match="a frequency tag needs a coefficients file"):
+        series_from_descriptor({"frequency": "linear", "coefficients": "ones"})
 
 
 def test_series_rejects_length_mismatch():
