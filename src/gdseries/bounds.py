@@ -101,6 +101,21 @@ class SnBound:
         }
 
 
+def _log_ratio(freq: Frequency, N: int) -> float:
+    """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor."""
+    if not 1 <= N < freq.M:
+        raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1))")
+    lam_next = float(freq.values[N])
+    if lam_next <= 0:
+        raise ValueError("need lambda_(N+1) > 0")
+    return math.log(lam_next) - float(freq.log_gap_values()[N - 1])
+
+
+def _log_factor(k: float, log_ratio: float, variant: str) -> float:
+    """log of the sn_bound factor 3 c(k) (lambda_{N+1}/gap_N)^k."""
+    return _LOG_3 + _log_c(k, None, variant) + k * log_ratio
+
+
 def sn_bound(freq: Frequency, N: int, k: float, variant: str = "paper") -> SnBound:
     """Bound factor for |S_N| per unit of half-plane sup-norm.
 
@@ -110,13 +125,7 @@ def sn_bound(freq: Frequency, N: int, k: float, variant: str = "paper") -> SnBou
     """
     if not 0 < k <= 1:
         raise ValueError("need 0 < k <= 1")
-    if not 1 <= N < freq.M:
-        raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1))")
-    lam_next = float(freq.values[N])
-    if lam_next <= 0:
-        raise ValueError("need lambda_(N+1) > 0")
-    log_gap = float(freq.log_gap_values()[N - 1])
-    log_factor = _LOG_3 + _log_c(k, None, variant) + k * (math.log(lam_next) - log_gap)
+    log_factor = _log_factor(k, _log_ratio(freq, N), variant)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_factor))
     return SnBound(N=N, k=k, variant=variant, log_factor=log_factor, value=value)
@@ -129,8 +138,9 @@ def sn_bound_optimal(freq: Frequency, N: int, variant: str = "paper") -> SnBound
     unimodal the bracket around the minimum is refined by golden-section
     search, otherwise the best grid point is returned as-is.
     """
+    log_ratio = _log_ratio(freq, N)
     ks = np.geomspace(1e-6, 1.0, 64)
-    vals = np.array([sn_bound(freq, N, float(k), variant).log_factor for k in ks])
+    vals = np.array([_log_factor(float(k), log_ratio, variant) for k in ks])
     i = int(np.argmin(vals))
     interior_minima = 0
     for j in range(1, len(ks) - 1):
@@ -144,17 +154,17 @@ def sn_bound_optimal(freq: Frequency, N: int, variant: str = "paper") -> SnBound
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = sn_bound(freq, N, c, variant).log_factor
-    fd = sn_bound(freq, N, d, variant).log_factor
+    fc = _log_factor(c, log_ratio, variant)
+    fd = _log_factor(d, log_ratio, variant)
     for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = sn_bound(freq, N, c, variant).log_factor
+            fc = _log_factor(c, log_ratio, variant)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = sn_bound(freq, N, d, variant).log_factor
+            fd = _log_factor(d, log_ratio, variant)
         if b - a < 1e-12 * max(1.0, b):
             break
     k_best = (a + b) / 2.0

@@ -5,7 +5,9 @@ riesz, bound, abscissa, perron, neder, suite}.  JSON (sorted keys) is the
 canonical output; ``--format csv`` is accepted only for two-column tables
 (profiles, ratio sequences) and for the coefficient file format itself.
 Exit codes: 0 success, 1 failed check in a suite run, 2 usage error or bad
-input (``error: ...`` on stderr, nothing on stdout).
+input (``error: ...`` on stderr, nothing on stdout).  A source flag that
+another source would override, such as ``--kind`` beside ``--freq-file`` or
+``--params`` with a builtin kind, is a usage error.
 
 Each action is declared once, by one ``Action`` entry in the registry below:
 the library operations it owns, its input source (none, a frequency or a
@@ -67,6 +69,15 @@ def _flag(name: str, type: Optional[Callable] = _finite, default: Any = None, **
     return name, dict(kw, default=default)
 
 
+class _Given(argparse.Action):
+    """Store a source flag's value and note the flag in ``given``, so that a
+    flag another source would override is told from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
+
+
 # every action takes these
 COMMON = (
     _flag("--format", None, "json", choices=("json", "csv")),
@@ -74,16 +85,22 @@ COMMON = (
 )
 SEED = _flag("--seed", int, 7)
 FREQ_FLAGS = (
-    _flag("--kind", None, "log", choices=BUILTIN_KINDS),
-    _flag("--n", int, 100, help="frequency length M"),
-    _flag("--params", nargs="*", help="values for custom-from-list"),
-    _flag("--freq-file", None, metavar="PATH"),
+    _flag("--kind", None, "log", choices=BUILTIN_KINDS, action=_Given),
+    _flag("--n", int, 100, help="frequency length M", action=_Given),
+    _flag("--params", nargs="*", help="values for custom-from-list", action=_Given),
+    _flag("--freq-file", None, metavar="PATH", action=_Given),
 )
 SERIES_FLAGS = FREQ_FLAGS + (
-    _flag("--coeffs", None, "ones", help="builtin coefficient tag"),
-    _flag("--coeffs-file", None, metavar="PATH"),
-    _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON"),
+    _flag("--coeffs", None, "ones", help="builtin coefficient tag", action=_Given),
+    _flag("--coeffs-file", None, metavar="PATH", action=_Given),
+    _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON", action=_Given),
     SEED,
+)
+# each source flag with the source flags it would silently override
+OVERRIDES = (
+    ("--descriptor", ("--kind", "--n", "--params", "--freq-file", "--coeffs", "--coeffs-file")),
+    ("--freq-file", ("--kind", "--n", "--params")),
+    ("--coeffs-file", ("--coeffs",)),
 )
 SOURCES = {None: (), "freq": FREQ_FLAGS, "series": SERIES_FLAGS}
 
@@ -114,6 +131,17 @@ NEDER = (X, _flag("--r-cap", int), _flag("--point-budget", int, 10_000))
 class RunConfig(argparse.Namespace):
     """Parsed invocation: command, action and every flag of the action as an
     attribute, plus the inputs those flags describe."""
+
+    given = frozenset()  # the source flags on the command line
+
+    def check_sources(self) -> None:
+        """Reject source flags that would be read only to be overridden."""
+        for source, overridden in OVERRIDES:
+            clash = [flag for flag in overridden if flag in self.given]
+            if source in self.given and clash:
+                raise ValueError(f"{', '.join(clash)} cannot be combined with {source}")
+        if "--params" in self.given and self.kind != "custom-from-list":
+            raise ValueError("--params is read only by --kind custom-from-list")
 
     def grid(self, sigma: Optional[float] = None) -> LineGrid:
         """The ``LINE`` flags, or the ``WINDOW`` flags on the line Re s = ``sigma``."""
@@ -527,6 +555,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        cfg.check_sources()
         out = HANDLERS[(cfg.command, cfg.action)](cfg)
         payload, table = out if isinstance(out, tuple) else (out, None)
         if not isinstance(payload, dict):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency
-from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, evaluate, line_sup_report
+from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, _refine_lines, evaluate
 
 __all__ = [
     "riesz_mean",
@@ -239,17 +239,11 @@ def sigma_u_k_estimate(
     xs = [float(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be increasing")
-    pairs = []
-    for i, x in enumerate(xs, start=1):
-        trunc = riesz_truncation(D, k, x)
-        if trunc is None:
-            continue
-        sup = line_sup_report(
-            trunc, None, LineGrid(0.0, grid.t_min, grid.t_max, grid.step), tol_sup
-        ).value
-        if sup <= 0:
-            continue
-        pairs.append((i, math.log(sup) / x))
+    # the truncations are prefixes of D's frequency: one refinement for all
+    found = [(i, x, riesz_truncation(D, k, x)) for i, x in enumerate(xs, start=1)]
+    found = [(i, x, trunc) for i, x, trunc in found if trunc is not None]
+    reports = _refine_lines([(trunc, None, 0.0) for _, _, trunc in found], grid, tol_sup)
+    pairs = [(i, math.log(rep.value) / x) for (i, x, _), rep in zip(found, reports) if rep.value > 0]
     return windowed_limsup("sigma_u_k", pairs)
 
 

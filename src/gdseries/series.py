@@ -25,15 +25,20 @@ calling thread is worker 0.  numpy releases the interpreter lock inside
 block is built by the same ufunc loops as ``np.exp(-np.outer(z, lambda))``,
 and each value is one GEMV row of a block of at least two rows (a one-row
 block is doubled), so no value depends on the block it falls in or the worker
-that built it.  Several amplitude vectors (lines Re s = sigma, members of a
-family) share one phase row.
+that built it.  Several amplitude vectors share one phase row.  Each is over
+a prefix lambda_1..lambda_m of one frequency and runs its GEMV on the first m
+columns of the block, which gives the bits of a block built over the prefix
+alone.
 
-Line sups refine one t-window for all their lines together (``_refine_lines``):
-a round builds phase rows only for points the previous round lacked, and each
-line keeps its own |values|.  Rows are reused only on a true refinement, when
-the new grid's even points are the previous grid bit for bit; ``LineGrid``
-rounds W/h, so a step that does not divide the window can give another size,
-and then every point is evaluated afresh.
+A line is an amplitude vector a_n e^{-lambda_n sigma}, n <= m: a partial sum,
+a Riesz truncation or a sigma-level of one series, on Re s = sigma.  Line sups
+refine one t-window for all their lines together (``_refine_lines``): a round
+builds the phase rows of the points the previous round lacked once, over the
+widest prefix still refining, and each line keeps its own |values|,
+convergence test and certificate.  Rows are reused only on a true refinement,
+when the new grid's even points are the previous grid bit for bit;
+``LineGrid`` rounds W/h, so a step that does not divide the window can give
+another size, and then every point is evaluated afresh.
 """
 
 from __future__ import annotations
@@ -210,35 +215,50 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable) -> None:
         raise errors[0]
 
 
-def _phase_sum(z: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
+def _phase_sum(z: np.ndarray, lam: np.ndarray, amp) -> np.ndarray:
     """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z.
 
-    ``amp`` is one amplitude vector, or a 2-D stack of them that shares each
-    phase block; the result has one row per stacked vector.
+    ``amp`` is one amplitude vector over lam, or a list of vectors, each over a
+    prefix lam[:m] of lam, that share each phase block; a list gives one row
+    per vector.  A vector over a prefix runs its GEMV on the block's first m
+    columns, which gives the bits of a block built over lam[:m] alone.
     """
-    out = np.empty(amp.shape[:-1] + (z.size,), dtype=complex)
+    single = not isinstance(amp, list)
+    amps = [amp] if single else amp
+    out = np.empty(z.size if single else (len(amps), z.size), dtype=complex)
+    rows_out = [out] if single else out
 
     def gemv(lo: int, phase: np.ndarray) -> None:
         rows = phase.shape[0]
         if rows == 1:
             # numpy sums a one-row product as a dot, in another order than GEMV
             phase = np.repeat(phase, 2, axis=0)
-        for k in np.ndindex(amp.shape[:-1]):
-            out[k][lo : lo + rows] = (phase @ amp[k])[:rows]
+        for row, a in zip(rows_out, amps):
+            row[lo : lo + rows] = (phase[:, : a.size] @ a)[:rows]
 
     _phase_blocks(z, lam, gemv)
     return out
 
 
+def _amplitude(D: DirichletSeries, N: int, sigma: float) -> np.ndarray:
+    """The amplitudes a_n e^{-lambda_n sigma}, n <= N, of S_N(D) on Re s = sigma."""
+    return D.coeffs[:N] * np.exp(-D.freq.values[:N] * sigma)
+
+
 def _eval_line(D: DirichletSeries, sigma, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
     """Partial sum S_N(D)(sigma + it) at every t of ts.
 
-    A sequence of sigma gives one row per sigma, from one build of the phase rows.
+    A list (or tuple) of lines gives one row per line, from one build of the
+    phase rows over lambda_1..lambda_N.  A line is a sigma, or a triple
+    (E, n, sigma) for S_n(E) on Re s = sigma, where n <= N and E's first n
+    frequencies are D's.
     """
     N = _check_N(D, N)
     lam = D.freq.values[:N]
-    amps = [D.coeffs[:N] * np.exp(-lam * sg) for sg in np.ravel(sigma)]
-    return _phase_sum(1j * ts, lam, amps[0] if np.ndim(sigma) == 0 else np.array(amps))
+    if not isinstance(sigma, (list, tuple)):
+        return _phase_sum(1j * ts, lam, _amplitude(D, N, sigma))
+    amps = [_amplitude(*line) if isinstance(line, tuple) else _amplitude(D, N, line) for line in sigma]
+    return _phase_sum(1j * ts, lam, amps)
 
 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
@@ -269,43 +289,50 @@ class SupReport:
 
 
 def _refine_lines(
-    D: DirichletSeries,
-    N: int,
+    lines: Sequence[tuple],
     grid: LineGrid,
-    sigmas: Sequence[float],
     tol_sup: float,
-    max_rounds: int,
+    max_rounds: int = _MAX_ROUNDS,
 ) -> list:
-    """One SupReport per line Re s = sigma of ``sigmas`` over grid's t-window
-    (grid.sigma is not read).
+    """One SupReport per line over grid's t-window (grid.sigma is not read).
 
-    All lines start at grid.step and halve it together.  A round evaluates only
-    the points the previous round lacked (every point when the grid is not a
-    true refinement) for the lines still refining; each line keeps its own
-    |values|, first-index argmax and convergence test, and leaves once it
-    stops.
+    A line (E, N, sigma) is S_N(E) on Re s = sigma (N = None means E.M); the
+    lines' frequencies must be prefixes lambda[:N] of one frequency.  All
+    lines start at grid.step and halve it together.  A round builds the phase
+    rows of the points the previous round lacked (every point when the grid is
+    not a true refinement) once, over the widest prefix of the lines still
+    refining; each line keeps its own |values|, first-index argmax and
+    convergence test, and leaves once it stops.
     """
-    best = [-math.inf] * len(sigmas)
-    t_best = [grid.t_min] * len(sigmas)
-    prev = [None] * len(sigmas)
-    vals = [None] * len(sigmas)  # |S_N| on the current grid, per refining line
-    reports = [None] * len(sigmas)
-    live = list(range(len(sigmas)))
+    lines = [(E, _check_N(E, N), sigma) for E, N, sigma in lines]
+    if not lines:
+        return []
+    widest = max(lines, key=lambda line: line[1])[0]
+    for E, N, _ in lines:
+        if E is not widest and not np.array_equal(E.freq.values[:N], widest.freq.values[:N]):
+            raise ValueError("the lines' frequencies must be prefixes of one frequency")
+    best = [-math.inf] * len(lines)
+    t_best = [grid.t_min] * len(lines)
+    prev = [None] * len(lines)
+    vals = [None] * len(lines)  # |S_N| on the current grid, per refining line
+    reports = [None] * len(lines)
+    live = list(range(len(lines)))
     step = grid.step
     rounds = 0
     old = None
     while live:
         ts = grid.points(step)
         rounds += 1
-        live_sigmas = [sigmas[j] for j in live]
+        live_lines = [lines[j] for j in live]
+        width = max(N for _, N, _ in live_lines)
         if old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old):
-            fresh = np.abs(_eval_line(D, live_sigmas, ts[1::2], N))
+            fresh = np.abs(_eval_line(widest, live_lines, ts[1::2], width))
             for j, mid in zip(live, fresh):
                 full = np.empty(ts.size)
                 full[::2], full[1::2] = vals[j], mid
                 vals[j] = full
         else:
-            for j, row in zip(live, np.abs(_eval_line(D, live_sigmas, ts, N))):
+            for j, row in zip(live, np.abs(_eval_line(widest, live_lines, ts, width))):
                 vals[j] = row
         for j in list(live):
             i = int(np.argmax(vals[j]))
@@ -314,7 +341,7 @@ def _refine_lines(
                 t_best[j] = float(ts[i])
             converged = prev[j] is not None and abs(best[j] - prev[j]) <= tol_sup * max(best[j], 1e-300)
             if converged or rounds >= max_rounds:
-                reports[j] = _certify(D, N, sigmas[j], best[j], t_best[j], ts, step, rounds)
+                reports[j] = _certify(*lines[j], best[j], t_best[j], ts, step, rounds)
                 live.remove(j)
                 vals[j] = None
             else:
@@ -349,7 +376,7 @@ def line_sup_report(
     the final round (``step`` reports the nominal one), capped by the
     coefficient-sum bound; it covers [t_min, t_max] on this line only.
     """
-    return _refine_lines(D, _check_N(D, N), grid, (grid.sigma,), tol_sup, max_rounds)[0]
+    return _refine_lines([(D, N, grid.sigma)], grid, tol_sup, max_rounds)[0]
 
 
 @dataclass(frozen=True)
@@ -391,7 +418,7 @@ def halfplane_norm(
     if levels > 1024 or not math.isfinite(sigma_min * 2.0 ** (levels - 1)):
         raise ValueError(f"the top level sigma_min * 2^{levels - 1} is not finite")
     sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
-    reports = _refine_lines(D, D.M, LineGrid(sigma_min, t_min, t_max, step), sigmas, tol_sup, _MAX_ROUNDS)
+    reports = _refine_lines([(D, D.M, sg) for sg in sigmas], LineGrid(sigma_min, t_min, t_max, step), tol_sup)
     sups = [rep.value for rep in reports]
     uppers = [rep.certified_upper for rep in reports]
     cap = D.abs_sum(0.0)

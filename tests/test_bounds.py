@@ -72,6 +72,32 @@ def test_sn_bound_optimal_never_beats_fixed_k_upward(N):
     assert 0 < best.k <= 1.0
 
 
+@pytest.mark.parametrize("kind", ["log", "linear", "sqrtlog", "interleave-exp2", "interleave-expexp2"])
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+def test_sn_bound_optimal_is_the_sn_bound_at_its_order(kind, variant):
+    # the k-search shares one log(lambda_(N+1) / gap_N) per call; the result
+    # must still be the bound sn_bound gives at the order it found
+    freq = make_frequency(kind, 60)
+    for N in (1, 2, 17, 58, 59):
+        best = sn_bound_optimal(freq, N, variant)
+        assert best == sn_bound(freq, N, best.k, variant)
+
+
+def test_sn_bound_optimal_reads_the_gaps_once(monkeypatch):
+    freq = make_frequency("log", 300)
+    reads = []
+    inner = Frequency.log_gap_values
+
+    def counting(self):
+        reads.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(Frequency, "log_gap_values", counting)
+    sn_bound_optimal(freq, 150, "exact")
+    # one for the k-search, one for each of the two candidates it returns from
+    assert len(reads) == 3
+
+
 def test_profile_bc_log_golden_midpoint():
     M = 10_000
     prof = theorem_bound_profile(make_frequency("log", M), "bc", {}, Ns=[M // 2], variant="paper")

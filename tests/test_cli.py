@@ -205,6 +205,9 @@ def test_usage_errors_exit_2(capsys):
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "nan"],
         ["neder", "build", "--kind", "linear", "--n", "6", "--x", "nan"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "lc", "--delta", "nan"],
+        # --params is read only by the custom-from-list kind
+        ["freq", "make", "--kind", "log", "--n", "3", "--params", "5", "6", "7"],
+        ["freq", "make", "--n", "1", "--params", "5"],
     ):
         _assert_exit_2(argv, capsys)
 
@@ -212,7 +215,13 @@ def test_usage_errors_exit_2(capsys):
 def test_domain_errors_exit_2(tmp_path, capsys):
     non_finite = tmp_path / "coeffs.csv"
     non_finite.write_text("index,re,im\n1,1.0,0.0\n2,nan,0.0\n3,1.0,inf\n")
+    freq_file, coeffs_file, descriptor = _source_files(tmp_path)
     for argv in (
+        # a source flag that another source would silently override
+        ["freq", "make", "--kind", "log", "--n", "50", "--freq-file", freq_file],
+        ["series", "coeffs", "--descriptor", descriptor, "--coeffs", "alternating", "--n", "7"],
+        ["series", "coeffs", "--coeffs-file", coeffs_file, "--coeffs", "ones"],
+        ["series", "sup", "--freq-file", freq_file, "--params", "1", "--grid-t-max", "10"],
         ["bound", "sn", "--kind", "linear", "--n", "5", "--n-index", "0", "--k", "1"],
         ["series", "sup", "--kind", "log", "--n", "12", "--grid-t-max", "10", "--tol-sup", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
@@ -236,6 +245,34 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "-5"],
     ):
         _assert_exit_2(argv, capsys)
+
+
+def _source_files(tmp_path):
+    """A frequency file, a coefficient file and a descriptor that names both."""
+    freq_file = tmp_path / "freq.txt"
+    freq_file.write_text("0.0\n0.5\n1.25\n")
+    coeffs_file = tmp_path / "coeffs3.csv"
+    coeffs_file.write_text("index,re,im\n1,1.0,0.0\n2,-0.5,0.25\n3,0.0,1.0\n")
+    descriptor = tmp_path / "series.json"
+    descriptor.write_text(json.dumps({"frequency": str(freq_file), "coefficients": str(coeffs_file)}))
+    return str(freq_file), str(coeffs_file), str(descriptor)
+
+
+def test_each_source_alone_is_read(tmp_path, capsys):
+    freq_file, coeffs_file, descriptor = _source_files(tmp_path)
+    assert run(["freq", "make", "--freq-file", freq_file]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [0.0, 0.5, 1.25]
+    want = {"M": 3, "absSum": 2.5590169943749475, "coefficientsHead": [[1.0, 0.0], [-0.5, 0.25], [0.0, 1.0]]}
+    for argv in (
+        ["--descriptor", descriptor, "--seed", "3"],
+        ["--freq-file", freq_file, "--coeffs-file", coeffs_file],
+        ["--kind", "linear", "--n", "3", "--coeffs-file", coeffs_file],
+    ):
+        assert run(["series", "coeffs"] + argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {key: payload[key] for key in want} == want, argv
+    assert run(["freq", "make", "--kind", "custom-from-list", "--n", "2", "--params", "1", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [1.0, 3.0]
 
 
 def test_profile_range_flags_resolve_against_the_refined_frequency(capsys):

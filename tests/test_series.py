@@ -20,12 +20,15 @@ from gdseries import (
     line_sup_report,
     make_frequency,
     read_coefficients_csv,
+    riesz_truncation,
     riesz_uniform_error,
     series_from_descriptor,
+    sigma_u_k_estimate,
     translate,
     with_self_reference,
     write_coefficients_csv,
 )
+from gdseries import acceptance
 from gdseries.bounds import _partial_sup_profile
 from gdseries import series as series_module
 from gdseries.series import (
@@ -36,6 +39,7 @@ from gdseries.series import (
     _eval_points,
     _phase_blocks,
     _phase_sum,
+    _refine_lines,
 )
 
 
@@ -443,6 +447,97 @@ def test_line_sup_report_builds_only_the_new_points(rows_built):
     line_sup_report(D, None, LineGrid(1e-3, 0.0, 100.0, 0.05))
     # 2001 + 4001 rows when each round rebuilt its whole grid
     assert rows_built[0] == 4001
+
+
+def _riesz_lines(D, xs, sigma, ks=(0.25, 0.5, 1.0)):
+    """One line per non-empty truncation R_x^k(D): prefixes of D's frequency."""
+    truncs = (riesz_truncation(D, k, float(x)) for k in ks for x in xs)
+    return [(trunc, None, sigma) for trunc in truncs if trunc is not None]
+
+
+def _criterion_6_lines(D):
+    lam_hi = float(D.freq.values[-1])
+    return _riesz_lines(D, np.linspace(0.3 * lam_hi, 1.3 * lam_hi, 6) + 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "lines, window, tol_sup, max_rounds",
+    [
+        # criterion 6: 18 truncations of each of four of its polynomials
+        *[
+            (_criterion_6_lines(D), (0.0, 60.0, 0.05), 1e-4, 3)
+            for D, _ in acceptance._polynomial_family(7)[2:6]
+        ],
+        # the widest prefix takes 699 points per block, so the 700 new points
+        # of round 2 take a full block and a block of one point
+        (
+            [(_seeded("log", 375, 8), N, sg) for N in (375, 374, 200, 1) for sg in (1e-3, 0.5)]
+            + _riesz_lines(_seeded("log", 375, 8), (2.0, 4.0, 5.9), 0.25),
+            (0.0, 35.0, 0.05), 1e-12, 2,
+        ),
+        # round 2 is not a true refinement and is evaluated afresh; the lines
+        # stop in rounds 2 to 5, the widest ones first
+        (_riesz_lines(_seeded("log", 40, 3), (1.0, 2.5, 3.0, 3.7), 1e-3), (-3.0, 17.3, 0.09), 1e-7, 10),
+    ],
+    ids=[f"criterion-6-{i}" for i in range(2, 6)] + ["multi-block", "not-a-refinement"],
+)
+def test_lines_over_prefixes_equal_one_line_sup_each(lines, window, tol_sup, max_rounds, rows_built):
+    grid = LineGrid(0.0, *window)
+    want = [line_sup_report(E, N, LineGrid(sg, *window), tol_sup, max_rounds) for E, N, sg in lines]
+    rows_built[0] = 0
+    got = _refine_lines(lines, grid, tol_sup, max_rounds)
+    assert got == want
+    # one build of each round's new rows for all lines
+    assert rows_built[0] == _fresh_rows(grid, max(rep.rounds for rep in got))
+
+
+def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
+    widths = []
+    inner = series_module._eval_line
+
+    def recording(D, sigma, ts, N=None):
+        widths.append(N)
+        return inner(D, sigma, ts, N)
+
+    monkeypatch.setattr(series_module, "_eval_line", recording)
+    lines = _riesz_lines(_seeded("log", 40, 3), (1.0, 2.5, 3.0, 3.7), 1e-3)
+    reps = _refine_lines(lines, LineGrid(0.0, -3.0, 17.3, 0.09), 1e-7)
+    live = [max(E.M for (E, _, _), rep in zip(lines, reps) if rep.rounds >= r) for r in range(1, 6)]
+    # the 40-term truncations stop after round 3, a 20-term one runs to round 5
+    assert live == [40, 40, 40, 20, 20]
+    assert widths == live
+    D = acceptance._polynomial_family(7)[2][0]
+    reps = _refine_lines(_criterion_6_lines(D), LineGrid(1e-3, 0.0, 60.0, 0.05), 1e-4, 3)
+    assert {rep.rounds for rep in reps} == {2, 3}
+
+
+def test_lines_must_share_one_frequency():
+    D, E = _seeded("log", 20, 1), _seeded("linear", 20, 1)
+    with pytest.raises(ValueError, match="prefixes of one frequency"):
+        _refine_lines([(D, 20, 0.0), (E, 10, 0.0)], LineGrid(0.0, 0.0, 10.0, 0.1), 1e-4)
+    assert _refine_lines([], LineGrid(0.0, 0.0, 10.0, 0.1), 1e-4) == []
+
+
+def test_sigma_u_k_ratios_equal_one_line_sup_per_length():
+    D = _seeded("log", 100, 5)
+    k, xs = 0.5, [0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 4.0, 4.7]
+    grid = LineGrid(0.7, -3.0, 17.3, 0.09)
+    pairs = []
+    for i, x in enumerate(xs, start=1):
+        trunc = riesz_truncation(D, k, x)
+        sup = line_sup_report(trunc, None, LineGrid(0.0, -3.0, 17.3, 0.09)).value
+        pairs.append((i, math.log(sup) / x))
+    assert sigma_u_k_estimate(D, k, xs, grid).ratios == tuple(pairs)
+
+
+def test_criterion_6_builds_each_phase_row_once_per_polynomial(rows_built):
+    acceptance._polynomial_family(7)  # the shared family is built before counting
+    rows_built[0] = 0
+    assert acceptance.criterion_6(7)[0]
+    # one refinement of 1201 + 1200 + 2400 rows at most per polynomial, where
+    # each of the 900 truncations made its own (2,271,300 rows)
+    assert rows_built[0] <= 50 * 4801
+    assert rows_built[0] == 168_050
 
 
 @pytest.fixture
