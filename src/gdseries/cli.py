@@ -5,9 +5,7 @@ riesz, bound, abscissa, perron, neder, suite}.  JSON (sorted keys) is the
 canonical output; ``--format csv`` is accepted only for two-column tables
 (profiles, ratio sequences) and for the coefficient file format itself.
 Exit codes: 0 success, 1 failed check in a suite run, 2 usage error or bad
-input (``error: ...`` on stderr, nothing on stdout).  A source flag that
-another source would override, such as ``--kind`` beside ``--freq-file`` or
-``--params`` with a builtin kind, is a usage error.
+input (``error: ...`` on stderr, nothing on stdout).
 
 Each action is declared once, by one ``Action`` entry in the registry below:
 the library operations it owns, its input source (none, a frequency or a
@@ -15,7 +13,8 @@ series), the flags it reads with their defaults (only ``--format`` and
 ``--out`` are common to all), and the function that computes its output.  The
 parser, the handler table ``HANDLERS`` and the ownership map ``ACTIONS`` are
 generated from the registry, so adding an action means adding one registry
-entry.  A flag's default is written only in its spec.  The test suite checks
+entry.  A flag's default is written only in its spec, but for the source
+flags, whose defaults ``RunConfig.source`` applies.  The test suite checks
 that the ownership is a partition (no operation reachable from two actions,
 none orphaned) and that every accepted flag is read.
 """
@@ -29,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,38 +69,24 @@ def _flag(name: str, type: Optional[Callable] = _finite, default: Any = None, **
     return name, dict(kw, default=default)
 
 
-class _Given(argparse.Action):
-    """Store a source flag's value and note the flag in ``given``, so that a
-    flag another source would override is told from its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
-
-
 # every action takes these
 COMMON = (
     _flag("--format", None, "json", choices=("json", "csv")),
     _flag("--out", None, metavar="PATH"),
 )
 SEED = _flag("--seed", int, 7)
+# the source flags default to None, so that two sources of one part show
 FREQ_FLAGS = (
-    _flag("--kind", None, "log", choices=BUILTIN_KINDS, action=_Given),
-    _flag("--n", int, 100, help="frequency length M", action=_Given),
-    _flag("--params", nargs="*", help="values for custom-from-list", action=_Given),
-    _flag("--freq-file", None, metavar="PATH", action=_Given),
+    _flag("--kind", None, choices=BUILTIN_KINDS, help="frequency kind (default log)"),
+    _flag("--n", int, help="frequency length M (default 100)"),
+    _flag("--params", nargs="*", help="values for custom-from-list"),
+    _flag("--freq-file", None, metavar="PATH"),
 )
 SERIES_FLAGS = FREQ_FLAGS + (
-    _flag("--coeffs", None, "ones", help="builtin coefficient tag", action=_Given),
-    _flag("--coeffs-file", None, metavar="PATH", action=_Given),
-    _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON", action=_Given),
+    _flag("--coeffs", None, help="builtin coefficient tag (default ones)"),
+    _flag("--coeffs-file", None, metavar="PATH"),
+    _flag("--descriptor", None, metavar="PATH", help="series descriptor JSON"),
     SEED,
-)
-# each source flag with the source flags it would silently override
-OVERRIDES = (
-    ("--descriptor", ("--kind", "--n", "--params", "--freq-file", "--coeffs", "--coeffs-file")),
-    ("--freq-file", ("--kind", "--n", "--params")),
-    ("--coeffs-file", ("--coeffs",)),
 )
 SOURCES = {None: (), "freq": FREQ_FLAGS, "series": SERIES_FLAGS}
 
@@ -128,40 +114,43 @@ PERRON = (X, K, EPSILON, T_HEIGHT, _flag("--step", _finite, 0.05), F_NORM, QUAD_
 NEDER = (X, _flag("--r-cap", int), _flag("--point-budget", int, 10_000))
 
 
+def _either(file_flag: str, path: Optional[str], flags: Dict[str, Any], built: Any) -> Any:
+    """One part of a descriptor: the file ``path`` if given, else ``built`` from ``flags``, never both."""
+    clash = [flag for flag, value in flags.items() if value is not None and path is not None]
+    if clash:
+        raise ValueError(f"{', '.join(clash)} cannot be combined with {file_flag}")
+    return built if path is None else Path(path)
+
+
 class RunConfig(argparse.Namespace):
     """Parsed invocation: command, action and every flag of the action as an
-    attribute, plus the inputs those flags describe."""
+    attribute.  The source flags describe one series descriptor."""
 
-    given = frozenset()  # the source flags on the command line
-
-    def check_sources(self) -> None:
-        """Reject source flags that would be read only to be overridden."""
-        for source, overridden in OVERRIDES:
-            clash = [flag for flag in overridden if flag in self.given]
-            if source in self.given and clash:
-                raise ValueError(f"{', '.join(clash)} cannot be combined with {source}")
-        if "--params" in self.given and self.kind != "custom-from-list":
-            raise ValueError("--params is read only by --kind custom-from-list")
+    coeffs = coeffs_file = descriptor = None  # frequency actions lack these flags
 
     def grid(self, sigma: Optional[float] = None) -> LineGrid:
         """The ``LINE`` flags, or the ``WINDOW`` flags on the line Re s = ``sigma``."""
         sigma = self.grid_sigma if sigma is None else sigma
         return LineGrid(sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
 
+    def source(self) -> dict:
+        """The series descriptor: ``--descriptor``, or the other source flags
+        with the defaults ``--kind log --n 100 --coeffs ones``."""
+        flags = {"--kind": self.kind, "--n": self.n, "--params": self.params}
+        by_kind = {"kind": self.kind or "log", "m": 100 if self.n is None else self.n, "params": self.params}
+        freq = _either("--freq-file", self.freq_file, flags, by_kind)
+        tag = "ones" if self.coeffs is None else self.coeffs
+        coeffs = _either("--coeffs-file", self.coeffs_file, {"--coeffs": self.coeffs}, tag)
+        given = {**flags, "--freq-file": self.freq_file, "--coeffs": self.coeffs,
+                 "--coeffs-file": self.coeffs_file}
+        path = _either("--descriptor", self.descriptor, given, None)
+        return json.loads(path.read_text()) if path else {"frequency": freq, "coefficients": coeffs}
+
     def frequency(self) -> Frequency:
-        if self.freq_file:
-            return frequency.read_frequency_file(self.freq_file)
-        return frequency.make_frequency(self.kind, self.n, self.params)
+        return series._frequency_from(self.source()["frequency"])
 
     def series(self) -> DirichletSeries:
-        if self.descriptor:
-            return series.series_from_descriptor(self.descriptor, seed=self.seed)
-        freq = self.frequency()
-        if self.coeffs_file:
-            coeffs = series.read_coefficients_csv(self.coeffs_file)
-        else:
-            coeffs = series.builtin_coefficients(self.coeffs, freq.M, self.seed)
-        return DirichletSeries(freq, coeffs)
+        return series.series_from_descriptor(self.source(), seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +220,10 @@ def _series_recover(cfg):
 
 
 def _series_coeffs(cfg):
-    D = cfg.series()
-    return _with_coeffs({"M": D.M, "tag": cfg.coeffs, "absSum": D.abs_sum(0.0)}, D.coeffs)
+    source = cfg.source()
+    D = series.series_from_descriptor(source, seed=cfg.seed)
+    tag = cfg.coeffs_file or source["coefficients"]  # the file path as given
+    return _with_coeffs({"M": D.M, "tag": tag, "absSum": D.abs_sum(0.0)}, D.coeffs)
 
 
 def _riesz_mean(cfg):
@@ -311,7 +302,9 @@ def _perron(cfg, op):
 
 
 def _f_norm(cfg) -> float:
-    return cfg.f_norm if cfg.f_norm is not None else cfg.series().abs_sum(0.0)
+    """``--f-norm``, else sum |a_n|; the series is read either way."""
+    D = cfg.series()
+    return cfg.f_norm if cfg.f_norm is not None else D.abs_sum(0.0)
 
 
 def _perron_required_t(cfg):
@@ -555,7 +548,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg.check_sources()
         out = HANDLERS[(cfg.command, cfg.action)](cfg)
         payload, table = out if isinstance(out, tuple) else (out, None)
         if not isinstance(payload, dict):

@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .frequency import Frequency, make_frequency, read_frequency_file
+from .frequency import BUILTIN_KINDS, Frequency, make_frequency, read_frequency_file
 
 __all__ = [
     "DirichletSeries",
@@ -550,44 +550,52 @@ def builtin_coefficients(tag: str, M: int, seed: Optional[int] = None) -> np.nda
             raise ValueError("seeded-normal needs a seed (tag suffix or --seed)")
         rng = np.random.default_rng(seed)
         return rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    raise ValueError(
-        f"unknown coefficient tag {tag!r}; expected one of "
-        f"{_COEFF_TAGS + ('seeded-normal[:SEED]',)} or a CSV path"
-    )
+    tags = _COEFF_TAGS + ("seeded-normal[:SEED]",)
+    raise ValueError(f"unknown coefficient tag {tag!r}; expected one of {tags}")
+
+
+def _frequency_from(spec, m: Optional[int] = None) -> Frequency:
+    """The frequency part of a descriptor; ``m`` is the length of its
+    coefficients file, if it has one."""
+    if isinstance(spec, str) and spec in BUILTIN_KINDS:
+        spec = {"kind": spec}
+    if isinstance(spec, (str, Path)):
+        return read_frequency_file(spec)
+    keys = {"kind": str, "m": int, "params": (list, tuple, type(None))}
+    typed = isinstance(spec, dict) and all(isinstance(v, keys.get(k, ())) for k, v in spec.items())
+    if not typed or "kind" not in spec:
+        raise ValueError(f"frequency must be a kind, a file path or {{'kind', 'm', 'params'}}, not {spec!r}")
+    m, params = spec.get("m", m), spec.get("params")
+    if m is None:
+        raise ValueError("a frequency tag needs a coefficients file, or an 'm', to take its length from")
+    numbers = all(isinstance(v, (int, float)) for v in params or ())
+    if params is not None and (spec["kind"] != "custom-from-list" or not numbers):
+        raise ValueError("'params' are numbers, and only the custom-from-list kind reads them")
+    return make_frequency(spec["kind"], m, params)
 
 
 def series_from_descriptor(
     descriptor: Union[dict, str, Path],
     seed: Optional[int] = None,
 ) -> DirichletSeries:
-    """Build a series from a JSON descriptor.
+    """Build a series from a descriptor, or from the JSON file that holds one.
 
-    Shape: ``{"frequency": <builtin tag | {"kind", "m", "params"} | file path>,
-    "coefficients": <builtin tag | CSV file path>}``.  A frequency given as a
-    file path uses the one-value-per-line format; coefficients given as a path
-    use the ``index,re,im`` CSV format.
+    The one descriptor shape is ``{"frequency": F, "coefficients": C}``.  F is a
+    kind of ``BUILTIN_KINDS``, ``{"kind", "m", "params"}`` (``"params"`` only
+    for ``custom-from-list``) or a file of one value per line; C is ``ones``,
+    ``alternating``, ``inverse-square``, ``seeded-normal[:SEED]`` (else
+    ``seed``) or an ``index,re,im`` CSV file.  A ``Path``, or a string that is
+    no builtin tag, names a file; relative paths resolve from the working
+    directory.  A kind without ``"m"`` takes its length from the coefficients
+    file.  Each part has exactly one source, here as on the command line.
     """
-    if not isinstance(descriptor, dict):
+    if isinstance(descriptor, (str, Path)):
         descriptor = json.loads(Path(descriptor).read_text())
-    if "frequency" not in descriptor or "coefficients" not in descriptor:
-        raise ValueError("descriptor needs 'frequency' and 'coefficients'")
-
+    shaped = isinstance(descriptor, dict) and set(descriptor) == {"frequency", "coefficients"}
+    if not shaped or not isinstance(descriptor["coefficients"], (str, Path)):
+        raise ValueError("a descriptor is {'frequency': ..., 'coefficients': <tag or path>} and nothing else")
     cspec = descriptor["coefficients"]
-    coeffs = None
-    if isinstance(cspec, str) and (cspec.endswith(".csv") or "/" in cspec):
-        coeffs = read_coefficients_csv(cspec)
-
-    fspec = descriptor["frequency"]
-    if isinstance(fspec, dict):
-        m = int(fspec.get("m", 0) or (len(coeffs) if coeffs is not None else 0))
-        freq = make_frequency(fspec["kind"], m, fspec.get("params"))
-    elif isinstance(fspec, str) and (fspec.endswith(".txt") or "/" in fspec):
-        freq = read_frequency_file(fspec)
-    else:
-        if coeffs is None:
-            raise ValueError("a frequency tag needs a coefficients file")
-        freq = make_frequency(str(fspec), len(coeffs))
-
-    if coeffs is None:
-        coeffs = builtin_coefficients(str(cspec), freq.M, seed=seed)
-    return DirichletSeries(freq, coeffs)
+    tag = isinstance(cspec, str) and (cspec in _COEFF_TAGS or cspec.partition(":")[0] == "seeded-normal")
+    coeffs = None if tag else read_coefficients_csv(cspec)
+    freq = _frequency_from(descriptor["frequency"], None if tag else len(coeffs))
+    return DirichletSeries(freq, builtin_coefficients(cspec, freq.M, seed) if tag else coeffs)

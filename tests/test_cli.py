@@ -11,6 +11,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gdseries
 from gdseries.cli import ACTIONS, HANDLERS, RunConfig, build_parser, run
@@ -98,8 +100,16 @@ def _subparser(parser, name):
     return choices.choices[name]
 
 
-@pytest.mark.parametrize("key", sorted(ARGV), ids=lambda k: f"{k[0]}-{k[1]}")
-def test_every_accepted_flag_is_read(key, monkeypatch, capsys):
+# every ARGV case, and the perron actions whose --f-norm replaces only sum |a_n|
+FLAG_CASES = [(key, []) for key in sorted(ARGV)] + [
+    (("perron", action), ["--f-norm", "2"]) for action in ("required-t", "tail")
+]
+
+
+@pytest.mark.parametrize(
+    "key, extra", FLAG_CASES, ids=[f"{c}-{a}" + ("-f-norm" if x else "") for (c, a), x in FLAG_CASES]
+)
+def test_every_accepted_flag_is_read(key, extra, monkeypatch, capsys):
     reads = set()
 
     class Recording(RunConfig):
@@ -114,7 +124,7 @@ def test_every_accepted_flag_is_read(key, monkeypatch, capsys):
         return handler(cfg)
 
     monkeypatch.setitem(HANDLERS, key, recorded)
-    assert run(ARGV[key]) == 0
+    assert run(ARGV[key] + extra) == 0
     capsys.readouterr()
     parser = _subparser(_subparser(build_parser(), key[0]), key[1])
     accepted = {a.dest for a in parser._actions} - {"help", "format", "out"}
@@ -216,7 +226,18 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     non_finite = tmp_path / "coeffs.csv"
     non_finite.write_text("index,re,im\n1,1.0,0.0\n2,nan,0.0\n3,1.0,inf\n")
     freq_file, coeffs_file, descriptor = _source_files(tmp_path)
-    for argv in (
+    missing = str(tmp_path / "missing")
+    bad = []  # descriptor frequencies: no kind, params not a list, m a list, m overflowing, params unread
+    for k, text in enumerate(('{"m": 3}', '{"kind": "custom-from-list", "m": 2, "params": 5}',
+                              '{"kind": "linear", "m": [1]}', '{"kind": "linear", "m": 1e400}',
+                              '{"kind": "linear", "m": 2, "params": [1, 2]}')):
+        bad.append(tmp_path / f"bad{k}.json")
+        bad[-1].write_text(f'{{"frequency": {text}, "coefficients": "ones"}}')
+    for argv in [["series", "coeffs", "--descriptor", str(path)] for path in bad] + [
+        # --f-norm replaces sum |a_n| only: the source is still read
+        ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "1000",
+         "--f-norm", "2", "--coeffs-file", missing],
+        ["perron", "required-t", "--x", "1.5", "--k", "1", "--f-norm", "2", "--descriptor", missing],
         # a source flag that another source would silently override
         ["freq", "make", "--kind", "log", "--n", "50", "--freq-file", freq_file],
         ["series", "coeffs", "--descriptor", descriptor, "--coeffs", "alternating", "--n", "7"],
@@ -243,8 +264,14 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "norm", "--kind", "log", "--n", "12", "--levels", "1100"],
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "0"],
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "-5"],
-    ):
+    ]:
         _assert_exit_2(argv, capsys)
+    # a zero length is named as such, from a flag and from a descriptor
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"frequency": {"kind": "linear", "m": 0}, "coefficients": "ones"}')
+    for argv in (["freq", "make", "--n", "0"], ["series", "coeffs", "--descriptor", str(zero)]):
+        assert run(argv) == 2
+        assert "M must be >= 1" in capsys.readouterr().err
 
 
 def _source_files(tmp_path):
@@ -262,7 +289,8 @@ def test_each_source_alone_is_read(tmp_path, capsys):
     freq_file, coeffs_file, descriptor = _source_files(tmp_path)
     assert run(["freq", "make", "--freq-file", freq_file]) == 0
     assert json.loads(capsys.readouterr().out)["values"] == [0.0, 0.5, 1.25]
-    want = {"M": 3, "absSum": 2.5590169943749475, "coefficientsHead": [[1.0, 0.0], [-0.5, 0.25], [0.0, 1.0]]}
+    want = {"M": 3, "absSum": 2.5590169943749475, "coefficientsHead": [[1.0, 0.0], [-0.5, 0.25], [0.0, 1.0]],
+            "tag": coeffs_file}
     for argv in (
         ["--descriptor", descriptor, "--seed", "3"],
         ["--freq-file", freq_file, "--coeffs-file", coeffs_file],
@@ -363,3 +391,128 @@ def test_scipy_loads_only_for_quadrature():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the input layer, fuzzed: every input exits 0 with the values it holds, or 2
+# with an error message and nothing on stdout.  A case is (argv, files to
+# write in the working directory, the payload items a valid input gives, or
+# None for an input that must be refused).
+
+_NUMBER = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _coefficient_files(draw):
+    values = draw(st.lists(st.tuples(_NUMBER, _NUMBER), min_size=1, max_size=12))
+    rows = ["index,re,im"] + [f"{k},{re!r},{im!r}" for k, (re, im) in enumerate(values, start=1)]
+    fault = draw(st.sampled_from(["", "blank", "missing", "index", "nan", "inf", "bom"]))
+    k = draw(st.integers(1, len(values)))
+    if fault == "blank":
+        rows.insert(k, draw(st.sampled_from(["", " ", ",,"])))
+    elif fault == "missing":
+        rows[k] = rows[k].rsplit(",", 1)[0]
+    elif fault == "index":
+        rows[k] = f"{k + 1}," + rows[k].split(",", 1)[1]
+    elif fault in ("nan", "inf"):
+        rows[k] = rows[k].rsplit(",", 1)[0] + f",{fault}"
+    text = ("\ufeff" if fault == "bom" else "") + "\n".join(rows) + "\n"
+    heads = [[re, im] for re, im in values[:8]]
+    want = {"M": len(values), "coefficientsHead": heads, "tag": "c.csv"} if fault in ("", "blank") else None
+    argv = ["series", "coeffs", "--kind", "linear", "--n", str(len(values)), "--coeffs-file", "c.csv"]
+    return argv, {"c.csv": text}, want
+
+
+@st.composite
+def _frequency_files(draw):
+    values = draw(st.lists(st.floats(-2.0, 50.0), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        values = sorted(set(abs(v) for v in values))
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from([math.nan, values[0]])))
+    lines = [f"{v!r}" + draw(st.sampled_from(["", " # note", "\n", "\n# comment"])) for v in values]
+    ok = values[0] >= 0 and all(a < b for a, b in zip(values, values[1:]))  # False on NaN
+    want = {"M": len(values), "values": values} if ok else None
+    return ["freq", "make", "--freq-file", "f.txt"], {"f.txt": "\n".join(lines) + "\n"}, want
+
+
+def _descriptor_length(desc, rows: int):
+    """M of a valid descriptor whose coefficient file has ``rows`` rows, else None."""
+    if not isinstance(desc, dict) or set(desc) != {"frequency", "coefficients"}:
+        return None
+    freq, coeffs = desc["frequency"], desc["coefficients"]
+    if coeffs not in ("ones", "alternating", "seeded-normal:3", "c.csv"):
+        return None
+    from_file = rows if coeffs == "c.csv" else None
+    if freq == "f.txt":
+        m = 3
+    elif freq in ("linear", "log"):
+        m = from_file
+    elif isinstance(freq, dict) and set(freq) <= {"kind", "m", "params"}:
+        m, kind, params = freq.get("m", from_file), freq.get("kind"), freq.get("params")
+        custom = kind == "custom-from-list" and params == [0, 1.5, 4] and m == 3
+        if not (custom or kind == "linear" and params is None) or type(m) is not int or m < 1:
+            return None
+    else:
+        return None
+    return m if from_file in (None, m) else None
+
+
+_JUNK = [None, 3, 2.5, "3", [1], {}, math.inf, "absent.txt", "seeded-normal:x", [0, 1.5, 4]]
+_DROP = "drop the key"
+# a descriptor fault: a part, or a key of the frequency object, set to a junk
+# value or dropped; an unknown key; a list in place of the object
+_FAULTS = [None] * 20 + [("list", None), ("seed", 3)] + [
+    (key, value) for key in ("frequency", "coefficients", "kind", "m", "params", "n") for value in _JUNK + [_DROP]
+]
+
+
+@st.composite
+def _descriptors(draw):
+    fault = draw(st.sampled_from(_FAULTS))
+    m = draw(st.integers(1, 12))
+    rows = draw(st.sampled_from([m, 3]))
+    freq = draw(st.sampled_from(["f.txt", "linear", "log", {"kind": "linear"}, {"kind": "linear", "m": m},
+                                 {"kind": "custom-from-list", "m": 3, "params": [0, 1.5, 4]}]))
+    coeffs = draw(st.sampled_from(["c.csv", "ones", "alternating", "seeded-normal:3"]))
+    desc = {"frequency": freq, "coefficients": coeffs}
+    if fault == ("list", None):
+        desc = [desc]
+    elif fault is not None:
+        key, value = fault
+        if key in ("kind", "m", "params", "n") and not isinstance(freq, dict):
+            freq = desc["frequency"] = {"kind": "linear", "m": m}
+        target = freq if key in ("kind", "m", "params", "n") else desc
+        if value == _DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    m = _descriptor_length(desc, rows)
+    files = {
+        "d.json": json.dumps(desc),
+        "f.txt": "0\n1.5\n4\n",
+        "c.csv": "index,re,im\n" + "".join(f"{k},1.0,0.5\n" for k in range(1, rows + 1)),
+    }
+    want = None if m is None else {"M": m, "tag": desc["coefficients"]}
+    return ["series", "coeffs", "--descriptor", "d.json"], files, want
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cases=st.tuples(_descriptors(), _coefficient_files(), _frequency_files()))
+@example(cases=[(["freq", "make", "--kind", "interleave-expexp2", "--n", str(n)], {}, {"M": n})
+                for n in (1, 2, 10**5)])
+def test_input_layer_fuzz(cases, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, files, want in cases:
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if want is None:
+            assert (code, out) == (2, ""), (argv, files)
+            assert err.startswith("error:"), err
+        else:
+            assert code == 0, (argv, files, err)
+            payload = json.loads(out)
+            assert {key: payload[key] for key in want} == want

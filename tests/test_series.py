@@ -283,7 +283,7 @@ def test_series_from_descriptor_with_builtin_parts(tmp_path):
     assert np.array_equal(D2.freq.values, D.freq.values)
 
 
-def test_series_from_descriptor_with_files(tmp_path):
+def test_series_from_descriptor_with_files(tmp_path, monkeypatch):
     fpath = tmp_path / "freq.txt"
     fpath.write_text("0.0\n0.5\n2.0\n")
     cpath = tmp_path / "c.csv"
@@ -291,6 +291,13 @@ def test_series_from_descriptor_with_files(tmp_path):
     D = series_from_descriptor({"frequency": str(fpath), "coefficients": str(cpath)})
     assert D.M == 3
     assert D.freq.values.tolist() == [0.0, 0.5, 2.0]
+    # any string that is no builtin tag names a file, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambdas").write_text("0.0\n0.5\n2.0\n")
+    write_coefficients_csv(tmp_path / "coeffs.dat", [1 + 1j, 2 + 0j, -1 + 0j])
+    for desc in ({"frequency": "lambdas", "coefficients": "coeffs.dat"},
+                 {"frequency": {"kind": "linear"}, "coefficients": "coeffs.dat"}):
+        assert series_from_descriptor(desc).coeffs.tolist() == [1 + 1j, 2 + 0j, -1 + 0j]
 
 
 def test_series_from_descriptor_frequency_tag_takes_m_from_the_coefficients(tmp_path):
