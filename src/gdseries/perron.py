@@ -14,6 +14,11 @@ quadrature plus certificate on one side, the finite weighted sum on the
 other.  At k = 0 the tail certificate is vacuous (the bound has a 1/k) and
 the inversion itself breaks when x hits a frequency, so that combination is
 rejected.
+
+Memory: the integrand is evaluated ``_CHUNK`` points at a time.  The first
+trapezoid round stores its n + 1 values in one complex array, for a single
+pairwise sum; later rounds keep only a running sum of their chunk sums.  A
+call therefore holds that one array plus the temporaries of one chunk.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 14  # trapezoid refinement rounds of perron_integral
+_CHUNK = 1 << 16  # integrand points evaluated at once
 
 
 @dataclass(frozen=True)
@@ -170,17 +176,19 @@ def perron_integral(
 
     n = max(2, int(math.ceil(2.0 * T / q.step)))
     h = 2.0 * T / n
-    ts = -T + h * np.arange(n + 1)
-    vals = g(ts)
+    # round 1 keeps its one pairwise sum over all n + 1 values
+    vals = np.empty(n + 1, dtype=complex)
+    for lo in range(0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        vals[lo:hi] = g(-T + h * np.arange(lo, hi))
     integral = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    del vals
     target = 0.1 * quad_tol if quad_tol is not None else None
     rounds = 1
     while rounds < _MAX_ROUNDS:
-        mids = -T + h * (np.arange(n) + 0.5)
-        chunk = 1 << 16
         mid_sum = 0j
-        for start in range(0, mids.size, chunk):
-            mid_sum += g(mids[start : start + chunk]).sum()
+        for lo in range(0, n, _CHUNK):
+            mid_sum += g(-T + h * (np.arange(lo, min(lo + _CHUNK, n)) + 0.5)).sum()
         refined = integral / 2.0 + (h / 2.0) * mid_sum
         change = abs(refined - integral) * prefactor
         integral = refined

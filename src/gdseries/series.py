@@ -502,9 +502,9 @@ def coefficient_recover(
 
 
 def read_coefficients_csv(path) -> np.ndarray:
-    """Read coefficients from CSV with header ``index,re,im``."""
+    """Read coefficients from UTF-8 CSV (a byte-order mark is allowed) with header ``index,re,im``."""
     name = str(path)
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows or [c.strip() for c in rows[0]] != ["index", "re", "im"]:
         raise ValueError(f"{name}: expected header 'index,re,im'")
@@ -532,6 +532,7 @@ def write_coefficients_csv(path, coeffs: Sequence[complex]) -> None:
 
 #: Builtin coefficient tags for descriptors and the command line.
 _COEFF_TAGS = ("ones", "alternating", "inverse-square")
+_TAG_NAMES = ", ".join(_COEFF_TAGS + ("seeded-normal[:SEED]",))
 
 
 def builtin_coefficients(tag: str, M: int, seed: Optional[int] = None) -> np.ndarray:
@@ -550,8 +551,7 @@ def builtin_coefficients(tag: str, M: int, seed: Optional[int] = None) -> np.nda
             raise ValueError("seeded-normal needs a seed (tag suffix or --seed)")
         rng = np.random.default_rng(seed)
         return rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    tags = _COEFF_TAGS + ("seeded-normal[:SEED]",)
-    raise ValueError(f"unknown coefficient tag {tag!r}; expected one of {tags}")
+    raise ValueError(f"unknown coefficient tag {tag!r}; expected one of {_TAG_NAMES}")
 
 
 def _frequency_from(spec, m: Optional[int] = None) -> Frequency:
@@ -596,6 +596,8 @@ def series_from_descriptor(
         raise ValueError("a descriptor is {'frequency': ..., 'coefficients': <tag or path>} and nothing else")
     cspec = descriptor["coefficients"]
     tag = isinstance(cspec, str) and (cspec in _COEFF_TAGS or cspec.partition(":")[0] == "seeded-normal")
+    if isinstance(cspec, str) and not tag and not Path(cspec).exists():
+        raise ValueError(f"coefficients {cspec!r} are neither a file nor a builtin tag ({_TAG_NAMES})")
     coeffs = None if tag else read_coefficients_csv(cspec)
     freq = _frequency_from(descriptor["frequency"], None if tag else len(coeffs))
     return DirichletSeries(freq, builtin_coefficients(cspec, freq.M, seed) if tag else coeffs)

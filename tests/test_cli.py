@@ -266,6 +266,14 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "-5"],
     ]:
         _assert_exit_2(argv, capsys)
+    # a mistyped tag that names no file lists the builtin tags
+    assert run(["series", "coeffs", "--coeffs", "alternatng"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coefficients 'alternatng' are neither a file nor a builtin tag "
+        "(ones, alternating, inverse-square, seeded-normal[:SEED])\n"
+    )
     # a zero length is named as such, from a flag and from a descriptor
     zero = tmp_path / "zero.json"
     zero.write_text('{"frequency": {"kind": "linear", "m": 0}, "coefficients": "ones"}')
@@ -418,7 +426,7 @@ def _coefficient_files(draw):
         rows[k] = rows[k].rsplit(",", 1)[0] + f",{fault}"
     text = ("\ufeff" if fault == "bom" else "") + "\n".join(rows) + "\n"
     heads = [[re, im] for re, im in values[:8]]
-    want = {"M": len(values), "coefficientsHead": heads, "tag": "c.csv"} if fault in ("", "blank") else None
+    want = {"M": len(values), "coefficientsHead": heads, "tag": "c.csv"} if fault in ("", "blank", "bom") else None
     argv = ["series", "coeffs", "--kind", "linear", "--n", str(len(values)), "--coeffs-file", "c.csv"]
     return argv, {"c.csv": text}, want
 
@@ -502,6 +510,10 @@ def _descriptors(draw):
 @given(cases=st.tuples(_descriptors(), _coefficient_files(), _frequency_files()))
 @example(cases=[(["freq", "make", "--kind", "interleave-expexp2", "--n", str(n)], {}, {"M": n})
                 for n in (1, 2, 10**5)])
+# the derandomized draws hold no "bom" fault
+@example(cases=[(["series", "coeffs", "--kind", "linear", "--n", "2", "--coeffs-file", "c.csv"],
+                 {"c.csv": "\ufeffindex,re,im\n1,1.5,0.0\n2,-2.0,0.25\n"},
+                 {"M": 2, "coefficientsHead": [[1.5, 0.0], [-2.0, 0.25]], "tag": "c.csv"})])
 def test_input_layer_fuzz(cases, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv, files, want in cases:

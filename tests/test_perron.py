@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from gdseries import (
     required_T,
     riesz_mean,
     tail_bound,
+    with_self_reference,
 )
+from gdseries import perron as perron_module
+from gdseries.series import _eval_points
 
 
 def two_term():
@@ -143,3 +148,81 @@ def test_external_reference_requires_explicit_norm():
         perron_integral(D, q)
     res = perron_integral(D, q, f_norm=5.0)
     assert math.isfinite(res.value.real)
+
+
+# loose enough that every boundary case stops after round 2
+_BOUNDARY_TOL = 1e3
+# a chunk small enough that the boundary cases stay cheap
+_SMALL_CHUNK = 8
+
+
+def _boundary_case(M, points):
+    """A seeded M-term series and a query whose first round has ``points`` points."""
+    rng = np.random.default_rng(M)
+    D = DirichletSeries(make_frequency("log", M), rng.standard_normal(M) + 1j * rng.standard_normal(M))
+    # n = ceil(2T / step) = points - 1, and the spacing 2T / n rounds
+    return D, PerronQuery(x=1.7, k=1.0, epsilon=0.5, T=(points - 1.5) * 0.05 / 2, step=0.05)
+
+
+@cache
+def _whole_grid_perron(M, points):
+    """(value, step, rounds) of perron_integral's rounds over whole-grid arrays, as first written."""
+    D, q = _boundary_case(M, points)
+    f = partial(_eval_points, D)
+    x, k, eps, T = q.x, q.k, q.epsilon, q.T
+    prefactor = math.gamma(k + 1.0) / (2.0 * math.pi * x**k)
+
+    def g(ts):
+        s = eps + 1j * ts
+        return np.asarray(f(s), dtype=complex) * np.exp(x * s) / s ** (1.0 + k)
+
+    n = max(2, int(math.ceil(2.0 * T / q.step)))
+    h = 2.0 * T / n
+    ts = -T + h * np.arange(n + 1)
+    vals = g(ts)
+    integral = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    rounds = 1
+    while rounds < 14:
+        mids = -T + h * (np.arange(n) + 0.5)
+        mid_sum = 0j
+        for start in range(0, mids.size, _SMALL_CHUNK):
+            mid_sum += g(mids[start : start + _SMALL_CHUNK]).sum()
+        refined = integral / 2.0 + (h / 2.0) * mid_sum
+        change = abs(refined - integral) * prefactor
+        integral = refined
+        n *= 2
+        h /= 2.0
+        rounds += 1
+        if change <= 0.1 * _BOUNDARY_TOL:
+            break
+    return complex(prefactor * integral), h, rounds
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["sum", "reference"])
+@pytest.mark.parametrize("points", [7, 8, 9, 17])
+@pytest.mark.parametrize("M", [1, 7, 100])
+def test_chunked_rounds_keep_the_whole_grid_bits(M, points, reference, monkeypatch):
+    # n + 1 first-round points on either side of a chunk edge; the reference
+    # evaluates the same sum, so both share one expected value
+    monkeypatch.setattr(perron_module, "_CHUNK", _SMALL_CHUNK)
+    D, q = _boundary_case(M, points)
+    if reference:
+        D = with_self_reference(D)
+    res = perron_integral(D, q, f_norm=D.abs_sum(0.0), quad_tol=_BOUNDARY_TOL)
+    assert (res.value, res.step, res.rounds) == _whole_grid_perron(M, points)
+
+
+def test_perron_memory_is_bounded_by_the_first_round():
+    # acceptance criterion 4's largest call: about 688k integrand points
+    rng = np.random.default_rng(5)
+    lam = np.cumsum(rng.uniform(0.2, 0.8, 5))
+    D = DirichletSeries(Frequency(lam), rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    x = float(lam[2]) + 0.5
+    T = required_T(1.0, x, 0.3, D.abs_sum(0.0), 1e-4)
+    tracemalloc.start()
+    try:
+        perron_vs_direct(D, PerronQuery(x=x, k=1.0, epsilon=0.3, T=T, step=0.05), quad_tol=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
