@@ -89,15 +89,6 @@ class CriterionResult:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] criterion {self.cid:2d} ({self.elapsed:6.2f}s) {self.title}: {self.detail}"
 
-    def to_dict(self) -> dict:
-        """Everything but the elapsed time, which varies from run to run."""
-        return {
-            "id": self.cid,
-            "title": self.title,
-            "pass": self.passed,
-            "detail": self.detail,
-        }
-
 
 def _random_instance(rng: np.random.Generator) -> DirichletSeries:
     m = int(rng.integers(2, 21))

@@ -91,15 +91,6 @@ class SnBound:
     log_factor: float
     value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "variant": self.variant,
-            "logFactor": self.log_factor,
-            "value": self.value,
-        }
-
 
 def _log_ratio(freq: Frequency, N: int) -> float:
     """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor."""
@@ -203,17 +194,6 @@ class ProfileReport:
     params: Dict[str, float]
     refined: bool
     rows: Tuple[ProfileRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "variant": self.variant,
-            "params": dict(self.params),
-            "refined": self.refined,
-            "rows": [
-                {"N": r.N, "logBound": r.log_bound, "ratio": r.ratio} for r in self.rows
-            ],
-        }
 
     def csv_rows(self) -> List[Tuple[int, float]]:
         """(N, ratio) pairs; the ratio is the plot-ready bounded quantity."""
@@ -403,12 +383,16 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     log_gap = float(D.freq.log_gap_values()[N - 1])
 
     def grid_max(m: int) -> float:
-        xs = lam_next * np.arange(m + 1) / m
+        # chunks of the x-grid lam_next * i / m, each weighed in place in one buffer
+        rows = max(1, (1 << 20) // max(1, D.M))
+        buf = np.empty((min(rows, m + 1), D.M))
         best = 0.0
-        chunk = max(1, (1 << 20) // max(1, D.M))
-        for start in range(0, xs.size, chunk):
-            diff = xs[start : start + chunk, None] - lam[None, :]
-            w = np.where(diff > 0.0, np.power(np.maximum(diff, 1e-300), k), 0.0)
+        for start in range(0, m + 1, rows):
+            xs = lam_next * np.arange(start, min(start + rows, m + 1)) / m
+            w = np.subtract.outer(xs, lam, out=buf[: xs.size])
+            off = w <= 0.0
+            np.power(np.maximum(w, 1e-300, out=w), k, out=w)
+            w[off] = 0.0
             best = max(best, float(np.max(np.abs(w @ D.coeffs))))
         return best
 
@@ -433,9 +417,6 @@ class KroneckerNorm:
     value: float
     exact: bool
     status: str
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "exact": self.exact, "status": self.status}
 
 
 def kronecker_norm(D: DirichletSeries) -> KroneckerNorm:

@@ -23,17 +23,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import acceptance, bounds, frequency, neder, perron, riesz, series
+from . import acceptance, bounds, estimates, frequency, neder, perron, riesz, series
 from .frequency import BUILTIN_KINDS, Frequency
 from .series import DirichletSeries, LineGrid
 
@@ -155,39 +157,36 @@ class RunConfig(argparse.Namespace):
 
 # ---------------------------------------------------------------------------
 # compute functions for the actions that need more than one call.  Each
-# returns a payload (a dict, or a report with ``to_dict``) or a
-# ``(payload, CSV table)`` pair.
+# returns a payload (a report, or a dict of reports, numbers, complex values
+# and arrays, which ``_jsonable`` turns into JSON) or a ``(payload, CSV
+# table)`` pair.
 
 Table = Optional[Tuple[Tuple[str, ...], List[tuple]]]
 
 
-def _pairs(vals: complex) -> List[float]:
-    return [float(vals.real), float(vals.imag)]
-
-
 def _with_values(payload: dict, values) -> Tuple[dict, Table]:
     """The payload with the first twelve frequency values; all of them as the table."""
-    payload["head"] = [float(v) for v in values[:12]]
+    payload["head"] = values[:12]
     return payload, (("index", "lambda"), [(n, float(v)) for n, v in enumerate(values, start=1)])
 
 
 def _with_coeffs(payload: dict, coeffs) -> Tuple[dict, Table]:
     """The payload with the first eight coefficients, if any; all of them as the table."""
     if len(coeffs):
-        payload["coefficientsHead"] = [_pairs(c) for c in coeffs[:8]]
+        payload["coefficientsHead"] = coeffs[:8]
     return payload, (("index", "re", "im"), [(n, c.real, c.imag) for n, c in enumerate(coeffs, start=1)])
 
 
-def _with_ratios(est) -> Tuple[dict, Table]:
+def _with_ratios(est: estimates.AbscissaEstimate) -> Tuple[estimates.AbscissaEstimate, Table]:
     """An estimate with its (index, ratio) pairs as the table."""
-    return est.to_dict(), (("index", "ratio"), list(est.ratios))
+    return est, (("index", "ratio"), list(est.ratios))
 
 
 def _freq_make(cfg):
     freq = cfg.frequency()
     gaps = freq.gaps
     lo, hi = (float(np.min(gaps)), float(np.max(gaps))) if gaps.size else (None, None)
-    return _with_values({**freq.to_dict(), "minGap": lo, "maxGap": hi}, freq.values)
+    return _with_values({**_jsonable(freq), "minGap": lo, "maxGap": hi}, freq.values)
 
 
 def _freq_refine(cfg):
@@ -202,13 +201,13 @@ def _series_eval(cfg):
     s = complex(cfg.sigma, cfg.t)
     N = cfg.n_terms
     value = series.evaluate(D, s, N)
-    return {"s": _pairs(s), "terms": N if N is not None else D.M, "value": _pairs(value)}
+    return {"s": s, "terms": N if N is not None else D.M, "value": value}
 
 
 def _series_translate(cfg):
     s0 = complex(cfg.sigma, cfg.t)
     shifted = series.translate(cfg.series(), s0)
-    return _with_coeffs({"s0": _pairs(s0), "M": shifted.M}, shifted.coeffs)
+    return _with_coeffs({"s0": s0, "M": shifted.M}, shifted.coeffs)
 
 
 def _series_recover(cfg):
@@ -216,7 +215,7 @@ def _series_recover(cfg):
     n = cfg.n_index
     got = series.coefficient_recover(D, n, cfg.sigma, cfg.t_height, cfg.grid_step)
     actual = complex(D.coeffs[n - 1])
-    return {"n": n, "recovered": _pairs(got), "actual": _pairs(actual), "residual": abs(got - actual)}
+    return {"n": n, "recovered": got, "actual": actual, "residual": abs(got - actual)}
 
 
 def _series_coeffs(cfg):
@@ -229,7 +228,7 @@ def _series_coeffs(cfg):
 def _riesz_mean(cfg):
     s = complex(cfg.sigma, cfg.t)
     value = riesz.riesz_mean(cfg.series(), cfg.k, cfg.x, s)
-    return {"k": cfg.k, "x": cfg.x, "s": _pairs(s), "value": _pairs(value)}
+    return {"k": cfg.k, "x": cfg.x, "s": s, "value": value}
 
 
 def _riesz_truncate(cfg):
@@ -242,7 +241,7 @@ def _riesz_truncate(cfg):
 def _riesz_typical(cfg):
     w = complex(cfg.sigma, cfg.t)
     value = riesz.typical_mean_A(cfg.series(), cfg.k, w, cfg.x)
-    return {"k": cfg.k, "x": cfg.x, "w": _pairs(w), "value": _pairs(value)}
+    return {"k": cfg.k, "x": cfg.x, "w": w, "value": value}
 
 
 def _riesz_abel(cfg):
@@ -278,7 +277,7 @@ def _bound_profile(cfg):
     params = {key: v for key, v in (("delta", cfg.delta), ("d", cfg.d)) if v is not None}
     Ns = slice(cfg.n_start, cfg.n_stop, cfg.n_step)
     prof = bounds.theorem_bound_profile(freq, cfg.regime, params, Ns=Ns, variant=cfg.variant)
-    return prof.to_dict(), (("N", "ratio"), list(prof.csv_rows()))
+    return prof, (("N", "ratio"), list(prof.csv_rows()))
 
 
 def _bound_hardy(cfg):
@@ -327,14 +326,14 @@ def _neder(cfg):
 def _neder_build(cfg):
     c = _neder(cfg)
     rows = [(float(v), float(w.real)) for v, w in zip(c.eta.values, c.coeffs)]
-    return c.to_dict(), (("eta", "coefficient"), rows)
+    return c, (("eta", "coefficient"), rows)
 
 
 def _neder_divergence(cfg):
     c = _neder(cfg)
     rows = neder.neder_divergence_check(c)
     passed = all(r.passed for r in rows if not r.exempt)
-    return {"x": c.x, "rows": [r.to_dict() for r in rows], "allUncappedPass": passed}
+    return {"x": c.x, "rows": rows, "allUncappedPass": passed}
 
 
 def _neder_cauchy(cfg):
@@ -354,7 +353,7 @@ def _neder_identity(cfg):
 def _neder_fejer(cfg):
     return {
         "m": cfg.m,
-        "coefficients": [float(v) for v in neder.fejer_polynomial(cfg.m).coeffs],
+        "coefficients": neder.fejer_polynomial(cfg.m).coeffs,
         "sup": neder.fejer_sup(cfg.m),
         "supMax64": neder.fejer_sup_max(),
     }
@@ -363,9 +362,8 @@ def _neder_fejer(cfg):
 def _suite_acceptance(cfg):
     results = acceptance.run_all(cfg.seed, cfg.only or None)
     print(acceptance.format_table(results), file=sys.stderr)
-    criteria = [r.to_dict() for r in results]
     failed = sum(not r.passed for r in results)
-    return {"seed": cfg.seed, "criteria": criteria, "passed": len(results) - failed, "failed": failed}
+    return {"seed": cfg.seed, "criteria": results, "passed": len(results) - failed, "failed": failed}
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +523,70 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# output
+# output: the one place JSON keys are named.  A report's keys are its field
+# names in camelCase, but for the renames, the fields left out and the keys
+# computed from the whole report below.
+
+_RENAMED = {"cid": "id", "passed": "pass", "lam": "lambda", "tail": "tailBound",
+            "coeffs": "coefficients", "infimum_log_constant": "infimumConstant"}
+# run-to-run timings, and construction internals the output does not show
+_OMITTED = {"elapsed", "log_gaps", "running_log_constants", "base", "block_sizes", "block_b", "point_block"}
+_COMPUTED = {
+    Frequency: {"M": lambda f: f.M},
+    # infimumConstant is log C, not C: doubly exponential weights make C unrepresentable
+    frequency.ConditionReport: {"logSpace": lambda r: True},
+    estimates.AbscissaEstimate: {"growthTol": lambda e: estimates.GROWTH_TOL},
+    perron.PerronComparison: {"withinBudget": lambda c: c.residual <= c.budget},
+    neder.NederConstruction: {
+        "blocks": lambda c: [{"k": k, "size": n, "b": c.block_b[k]} for k, n in sorted(c.block_sizes.items())],
+        "eta": lambda c: c.eta.values,  # the values alone, not a frequency object
+    },
+}
+_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
-def _render_json(payload: dict) -> str:
+@lru_cache(maxsize=None)
+def _keys(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """(attribute, key) for each field of a report class that is a key of its JSON."""
+    computed = _COMPUTED.get(cls, {})
+    keys = []
+    for f in dataclasses.fields(cls):
+        head, *rest = f.name.split("_")
+        key = _RENAMED.get(f.name, head + "".join(w[:1].upper() + w[1:] for w in rest))
+        if f.name not in _OMITTED and key not in computed:
+            keys.append((f.name, key))
+    return tuple(keys)
+
+
+def _jsonable(obj: Any) -> Any:
+    """``obj`` as plain JSON values: a report becomes a dict, a complex number
+    ``[re, im]``, a numpy array a list and a numpy scalar a Python number;
+    dicts, lists and tuples are converted item by item."""
+    cls = type(obj)
+    if cls in _LEAVES:
+        return obj
+    if dataclasses.is_dataclass(cls):  # first: long lists of report rows come here
+        out = {}
+        for name, key in _keys(cls):
+            value = getattr(obj, name)
+            out[key] = value if type(value) in _LEAVES else _jsonable(value)
+        for key, value in _COMPUTED.get(cls, {}).items():
+            out[key] = _jsonable(value(obj))
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {key: _jsonable(v) for key, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    return obj.item()  # a numpy scalar
+
+
+def _render_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -548,15 +606,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        out = HANDLERS[(cfg.command, cfg.action)](cfg)
-        payload, table = out if isinstance(out, tuple) else (out, None)
-        if not isinstance(payload, dict):
-            payload = payload.to_dict()
+        payload = HANDLERS[(cfg.command, cfg.action)](cfg)
+        payload, table = payload if isinstance(payload, tuple) else (payload, None)
         if cfg.format == "csv":
             if table is None:
                 raise ValueError(f"{cfg.command} {cfg.action} has no CSV form (JSON only)")
             text = _render_csv(table)
         else:
+            # payload held the reports' last reference: they are freed before json builds the text
+            payload = _jsonable(payload)
             text = _render_json(payload)
         if cfg.out:
             with open(cfg.out, "w") as fp:

@@ -46,16 +46,6 @@ class AbscissaEstimate:
     window_size: int
     trend: str
 
-    def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "estimate": self.estimate,
-            "windowSize": self.window_size,
-            "trend": self.trend,
-            "growthTol": GROWTH_TOL,
-            "ratios": [[int(i), float(r)] for i, r in self.ratios],
-        }
-
 
 def windowed_limsup(
     which: str,

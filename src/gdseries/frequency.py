@@ -129,14 +129,6 @@ class Frequency:
             return self.log_gaps
         return np.log(np.diff(self.values))
 
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "M": self.M,
-            "qIndependent": self.q_independent,
-            "values": [float(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -156,19 +148,6 @@ class ConditionReport:
     witness_index: int  # 1-based argmin of the log-constants
     trend: str  # "stable" | "decaying" | "inconclusive"
     verdict: str  # "evidence-for" | "evidence-against" | "inconclusive"
-
-    def to_dict(self) -> dict:
-        # infimumConstant is reported in log-space (log C, not C); doubly
-        # exponential weights make the linear-space value unrepresentable.
-        return {
-            "condition": self.condition,
-            "params": dict(self.params),
-            "infimumConstant": self.infimum_log_constant,
-            "logSpace": True,
-            "trend": self.trend,
-            "verdict": self.verdict,
-            "witnessIndex": self.witness_index,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -135,17 +135,6 @@ class NederEntry:
     cap_applied: bool
     offset: int  # index of this entry's j = 0 point within eta
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda": self.lam,
-            "gap": self.gap,
-            "k": self.k,
-            "r": self.r,
-            "capApplied": self.cap_applied,
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class NederConstruction:
@@ -161,19 +150,6 @@ class NederConstruction:
 
     def series(self) -> DirichletSeries:
         return DirichletSeries(self.eta, self.coeffs)
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "refined": self.refined,
-            "blocks": [
-                {"k": int(k), "size": int(sz), "b": self.block_b[k]}
-                for k, sz in sorted(self.block_sizes.items())
-            ],
-            "entries": [e.to_dict() for e in self.entries],
-            "eta": [float(v) for v in self.eta.values],
-            "coefficients": [[c.real, c.imag] for c in self.coeffs],
-        }
 
 
 def neder_construct(
@@ -282,17 +258,6 @@ class DivergenceRow:
     passed: bool
     exempt: bool  # capped groups carry no divergence guarantee
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "r": self.r,
-            "blockSum": self.block_sum,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "exempt": self.exempt,
-        }
-
 
 def neder_divergence_check(c: NederConstruction) -> List[DivergenceRow]:
     """Per-group lower bound sum_{j=1}^{r-1} b/(r-j) e^(-x eta_j) vs e^(-x)/4.
@@ -341,6 +306,8 @@ def fejer_identity_residual(c: NederConstruction, K: int, s_values: Sequence[com
     """
     if len(s_values) == 0:
         raise ValueError("need at least one sample point")
+    if K < min(c.block_sizes):
+        raise ValueError(f"K = {K} is below the smallest block id {min(c.block_sizes)}")
     DK = _blocks(c, -1, K)
     worst = 0.0
     for s in s_values:

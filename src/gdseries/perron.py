@@ -99,16 +99,6 @@ class PerronResult:
     rounds: int
     f_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "tailBound": self.tail,
-            "T": self.T,
-            "step": self.step,
-            "rounds": self.rounds,
-            "fNorm": self.f_norm,
-        }
-
 
 @dataclass(frozen=True)
 class PerronComparison:
@@ -116,15 +106,6 @@ class PerronComparison:
     direct: complex
     residual: float
     budget: float
-
-    def to_dict(self) -> dict:
-        return {
-            "perron": self.perron.to_dict(),
-            "direct": [self.direct.real, self.direct.imag],
-            "residual": self.residual,
-            "budget": self.budget,
-            "withinBudget": self.residual <= self.budget,
-        }
 
 
 def _resolve_f(D: DirichletSeries, f_norm: Optional[float]):

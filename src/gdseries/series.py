@@ -278,15 +278,6 @@ class SupReport:
     step: float
     rounds: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "certifiedUpper": self.certified_upper,
-            "tAtMax": self.t_at_max,
-            "step": self.step,
-            "rounds": self.rounds,
-        }
-
 
 def _refine_lines(
     lines: Sequence[tuple],
@@ -388,14 +379,6 @@ class NormReport:
     sigma_levels: tuple
     line_values: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "certifiedUpper": self.certified_upper,
-            "sigmaLevels": list(self.sigma_levels),
-            "lineValues": list(self.line_values),
-        }
-
 
 def halfplane_norm(
     D: DirichletSeries,
@@ -406,11 +389,12 @@ def halfplane_norm(
     levels: int = 8,
     tol_sup: float = 1e-4,
 ) -> NormReport:
-    """Estimate the sup of |D| on [Re > 0] from lines sigma_min * 2^j.
+    """Windowed sup of |D| over the sampled lines Re s = sigma_min * 2^j, t in [t_min, t_max].
 
     Line sups of a bounded Dirichlet polynomial are nonincreasing in sigma
     (log-convexity plus decay at +inf), so the smallest sampled line
     dominates; the doubling ladder is kept as a cross-check and for reports.
+    Neither number covers the strip 0 <= Re s < sigma_min or t outside the window.
     """
     if levels < 1:
         raise ValueError("need levels >= 1")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,82 @@ def test_hardy_needs_next_frequency():
     D = DirichletSeries(make_frequency("linear", 4), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
         hardy_check(D, 4, 0.5)
+
+
+def _unsettled_hardy_series(M: int) -> DirichletSeries:
+    """sum_{lambda_n < x} a_n (x - lambda_n)^(1/4) = x^(1/4) - 2^(1/4) (x - c)^(1/4) on [0, 1].
+
+    It peaks at the kink c = 1/2 - 2^-30, and each dyadic grid gets one point
+    closer to c from below, so ``hardy_check(D, 2, 0.25)`` runs every round.
+    The frequencies past 1 only widen the rows.
+    """
+    lam = np.concatenate([[0.0, 0.5 - 2.0**-30], np.arange(1.0, M - 1.0)])
+    coeffs = np.zeros(M, dtype=complex)
+    coeffs[:2] = 1.0, -(2.0**0.25)
+    return DirichletSeries(Frequency(lam), coeffs)
+
+
+def _hardy_check_whole_chunks(D, N, k):
+    """hardy_check with each chunk built from whole-array temporaries, as the
+    in-place version must reproduce bit for bit."""
+    lam = D.freq.values
+    lam_next = float(lam[N])
+
+    def grid_max(m):
+        xs = lam_next * np.arange(m + 1) / m
+        best = 0.0
+        chunk = max(1, (1 << 20) // max(1, D.M))
+        for start in range(0, xs.size, chunk):
+            diff = xs[start : start + chunk, None] - lam[None, :]
+            w = np.where(diff > 0.0, np.power(np.maximum(diff, 1e-300), k), 0.0)
+            best = max(best, float(np.max(np.abs(w @ D.coeffs))))
+        return best
+
+    m = bounds_module._HARDY_POINTS - 1
+    sup = grid_max(m)
+    for _ in range(bounds_module._HARDY_ROUNDS - 1):
+        m *= 2
+        nxt = grid_max(m)
+        stable = abs(nxt - sup) <= bounds_module._HARDY_TOL * max(nxt, 1e-300)
+        sup = max(sup, nxt)
+        if stable:
+            break
+    rhs = 3.0 * math.exp(-k * float(D.freq.log_gap_values()[N - 1])) * sup
+    return abs(complex(np.sum(D.coeffs[:N]))), rhs
+
+
+def test_hardy_in_place_chunks_keep_the_whole_chunk_bits(monkeypatch):
+    cases = [(_unsettled_hardy_series(M), 2, 0.25) for M in (3, 20)]
+    # M = 4096 makes 256-row chunks, so the first grid's last point, where
+    # this increasing sum peaks, starts a chunk of its own
+    cases.append((DirichletSeries(make_frequency("linear", 4096), np.ones(4096)), 100, 0.5))
+    rng = np.random.default_rng(26)
+    for i in range(30):  # criterion 3's instances: M in 2..20
+        m = int(rng.integers(2, 21))
+        D = DirichletSeries(Frequency(np.cumsum(rng.uniform(0.05, 0.5, m)) - 0.05),
+                            rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        cases.append((D, int(rng.integers(1, m)), (0.25, 0.5, 1.0)[i % 3]))
+    for D, N, k in cases:
+        assert hardy_check(D, N, k) == _hardy_check_whole_chunks(D, N, k)
+    # wide rows: several chunks from the first rounds on
+    monkeypatch.setattr(bounds_module, "_HARDY_ROUNDS", 4)
+    for M in (700, 3000):
+        D = DirichletSeries(Frequency(np.cumsum(rng.uniform(0.05, 0.5, M))),
+                            rng.standard_normal(M) + 1j * rng.standard_normal(M))
+        assert hardy_check(D, M // 2, 0.5) == _hardy_check_whole_chunks(D, M // 2, 0.5)
+
+
+def test_hardy_memory_is_one_chunk_buffer():
+    # the last rounds fill whole (1 << 20) // M-row chunks; the complex
+    # upcast in w @ coeffs alone is 16.8 MB of it
+    D = _unsettled_hardy_series(20)
+    tracemalloc.start()
+    try:
+        hardy_check(D, 2, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_kronecker_norm_is_an_upper_bound_for_dependent_frequencies():

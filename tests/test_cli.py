@@ -4,18 +4,22 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gdseries
-from gdseries.cli import ACTIONS, HANDLERS, RunConfig, build_parser, run
+from gdseries.cli import ACTIONS, HANDLERS, RunConfig, _jsonable, build_parser, run
+from gdseries.neder import DivergenceRow
+from gdseries.perron import PerronComparison, PerronResult
 
 # one fast, known-good invocation per (command, action)
 ARGV = {
@@ -197,6 +201,43 @@ def _assert_exit_2(argv, capsys):
     assert "error:" in captured.err, argv
 
 
+def _types(value):
+    """The set of types anywhere inside a converted payload."""
+    if isinstance(value, dict):
+        return {dict}.union(*map(_types, value.values()))
+    if isinstance(value, list):
+        return {list}.union(*map(_types, value))
+    return {type(value)}
+
+
+def test_serializer_gives_plain_python_types():
+    row = DivergenceRow(n=np.int64(2), k=np.int64(0), r=3, block_sum=np.float64(0.5), threshold=0.25,
+                        passed=np.bool_(True), exempt=False)
+    perron = PerronResult(value=np.complex128(1 + 2j), tail=np.float64(1e-3), T=10.0, step=0.05,
+                          rounds=np.int64(4), f_norm=1.0)
+    payload = {"rows": (row,), "check": PerronComparison(perron, 1 - 1j, np.float64(0.1), 0.2),
+               "z": np.complex128(-1j), "pair": (np.float64(0.5), np.int64(1)), "flag": np.bool_(False),
+               "zs": np.array([1 + 1j, 2]), "ns": np.arange(3)}
+    out = _jsonable(payload)
+    assert _types(out) == {dict, list, int, float, bool}
+    assert out == {
+        "rows": [{"n": 2, "k": 0, "r": 3, "blockSum": 0.5, "threshold": 0.25, "pass": True, "exempt": False}],
+        "check": {
+            "perron": {"value": [1.0, 2.0], "tailBound": 1e-3, "T": 10.0, "step": 0.05, "rounds": 4, "fNorm": 1.0},
+            "direct": [1.0, -1.0], "residual": 0.1, "budget": 0.2, "withinBudget": True,
+        },
+        "z": [0.0, -1.0], "pair": [0.5, 1], "flag": False, "zs": [[1.0, 1.0], [2.0, 0.0]], "ns": [0, 1, 2],
+    }
+
+
+def test_no_class_in_the_package_defines_to_dict():
+    # JSON keys are named only by the CLI serializer
+    modules = [importlib.import_module(f"gdseries.{m.name}") for m in pkgutil.iter_modules(gdseries.__path__)]
+    owners = [f"{m.__name__}.{name}" for m in modules for name, obj in vars(m).items()
+              if isinstance(obj, type) and obj.__module__ == m.__name__ and "to_dict" in vars(obj)]
+    assert owners == []
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         [],
@@ -247,6 +288,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "sup", "--kind", "log", "--n", "12", "--grid-t-max", "10", "--tol-sup", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "-1"],
+        # no block lies in the prefix, so the identity would check nothing
+        ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--k-prefix", "-5"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "70"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-start", "30", "--n-stop", "100"],
         ["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-stop", "0"],

@@ -3,6 +3,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdseries.cli import _jsonable
 from gdseries.estimates import GROWTH_TOL, windowed_limsup
 
 
@@ -63,9 +64,9 @@ def test_trend_is_one_of_the_three_labels(ratios):
     assert est.trend in ("convergent", "divergent", "inconclusive")
 
 
-def test_to_dict_is_json_ready():
+def test_serialized_estimate_is_json_ready():
     est = windowed_limsup("sigma_u", [(i, float(i)) for i in range(1, 31)])
-    d = est.to_dict()
+    d = _jsonable(est)
     assert d["which"] == "sigma_u"
     assert isinstance(d["ratios"][0], list)
     assert d["windowSize"] == 10

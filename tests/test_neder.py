@@ -138,6 +138,12 @@ def test_fejer_identity_is_exact_regrouping():
     assert fejer_identity_residual(c, 2, s_values) < 1e-12
 
 
+def test_fejer_identity_needs_a_block_in_the_prefix():
+    c = neder_construct(base_integers(), 0.1)
+    with pytest.raises(ValueError, match="K = 0 is below the smallest block id 1"):
+        fejer_identity_residual(c, 0, [0.3 + 0j])
+
+
 def test_cauchy_block_difference_zero_when_K_equals_L():
     c = neder_construct(base_integers(), 0.1)
     grid = LineGrid(1e-3, 0.0, 20.0, 0.1)
