@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid, _phase_blocks
+from .series import _BLOCK_ENTRIES, DirichletSeries, LineGrid, _phase_blocks, _refine_max
 
 __all__ = [
     "SnBound",
@@ -102,9 +102,9 @@ def _log_ratio(freq: Frequency, N: int) -> float:
     return math.log(lam_next) - float(freq.log_gap_values()[N - 1])
 
 
-def _log_factor(k: float, log_ratio: float, variant: str) -> float:
-    """log of the sn_bound factor 3 c(k) (lambda_{N+1}/gap_N)^k."""
-    return _LOG_3 + _log_c(k, None, variant) + k * log_ratio
+def _log_factor(k: float, log_ratio: float, variant: str, log_k: Optional[float] = None) -> float:
+    """log of the sn_bound factor 3 c(k) (lambda_{N+1}/gap_N)^k; ``log_k`` as in ``_log_c``."""
+    return _LOG_3 + _log_c(k, log_k, variant) + k * log_ratio
 
 
 def sn_bound(freq: Frequency, N: int, k: float, variant: str = "paper") -> SnBound:
@@ -234,10 +234,9 @@ def theorem_bound_profile(
     ``Ns`` may be a slice; a missing start or step is 1, a missing stop the refined M.
     """
     params = dict(params or {})
-    if regime == "lc" and "delta" not in params:
-        raise ValueError("lc regime needs params['delta']")
-    if regime == "poly" and "d" not in params:
-        raise ValueError("poly regime needs params['d']")
+    for name, key in (("lc", "delta"), ("poly", "d")):
+        if regime == name and not params.get(key, 0.0) > 0:
+            raise ValueError(f"{name} regime needs params['{key}'] > 0")
     refined = freq.M >= 2 and float(np.max(freq.gaps)) > 1.0
     if refined:
         freq = refine_gaps(freq)
@@ -255,17 +254,12 @@ def theorem_bound_profile(
         if not 1 <= N < freq.M:
             raise ValueError(f"need 1 <= N < M = {freq.M}")
         lam_N = float(freq.values[N - 1])
-        lam_next = float(freq.values[N])
         if lam_N <= 0:
             continue
         log_k_raw, log_env = _regime_log_k_and_envelope(regime, lam_N, params)
         log_k = min(log_k_raw, 0.0)
         k = math.exp(log_k)
-        log_bound = (
-            _LOG_3
-            + _log_c(k, log_k, variant)
-            + k * (math.log(lam_next) - float(log_gaps[N - 1]))
-        )
+        log_bound = _log_factor(k, math.log(freq.values[N]) - float(log_gaps[N - 1]), variant, log_k)
         diff = log_bound - log_env
         ratio = math.exp(diff) if diff < 700.0 else math.inf
         rows.append(ProfileRow(N=int(N), log_bound=log_bound, ratio=ratio))
@@ -367,11 +361,12 @@ def delta_sequence_estimate(
 def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     """(lhs, rhs) of |sum_{n<=N} a_n| <= 3 gap_N^{-k} sup_x |sum_{lambda_n<x} a_n (x-lambda_n)^k|.
 
-    The sup runs over x in [0, lambda_{N+1}] on a grid of ``_HARDY_POINTS``
-    points, refined (step halved) until the observed max stabilises to
-    ``_HARDY_TOL`` relative or ``_HARDY_ROUNDS`` rounds have run.  The
-    inequality holds for every choice of the first N coefficients, which
-    makes it a good property-test target.
+    The sup is a grid max over x in [0, lambda_{N+1}], from ``_HARDY_POINTS``
+    points refined by ``series._refine_max`` (``_HARDY_TOL``, ``_HARDY_ROUNDS``).
+    A grid max is at most the true sup, and the stop rule does not bound the
+    gap, so rhs can fall below the true rhs: the check then errs on the
+    strict side.  The inequality holds for every choice of the first N
+    coefficients, which makes it a good property-test target.
     """
     if not 0 < k <= 1:
         raise ValueError("need 0 < k <= 1")
@@ -381,30 +376,21 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     lam = D.freq.values
     lam_next = float(lam[N])
     log_gap = float(D.freq.log_gap_values()[N - 1])
+    buf = np.empty((max(1, _BLOCK_ENTRIES // D.M), D.M))
 
-    def grid_max(m: int) -> float:
-        # chunks of the x-grid lam_next * i / m, each weighed in place in one buffer
-        rows = max(1, (1 << 20) // max(1, D.M))
-        buf = np.empty((min(rows, m + 1), D.M))
-        best = 0.0
-        for start in range(0, m + 1, rows):
-            xs = lam_next * np.arange(start, min(start + rows, m + 1)) / m
-            w = np.subtract.outer(xs, lam, out=buf[: xs.size])
+    def weigh(xs, _live):
+        # chunks of len(buf) x-points, each weighed in place in the one buffer
+        out = np.empty(xs.size)
+        for lo in range(0, xs.size, len(buf)):
+            w = np.subtract.outer(xs[lo : lo + len(buf)], lam, out=buf[: min(len(buf), xs.size - lo)])
             off = w <= 0.0
             np.power(np.maximum(w, 1e-300, out=w), k, out=w)
             w[off] = 0.0
-            best = max(best, float(np.max(np.abs(w @ D.coeffs))))
-        return best
+            out[lo : lo + len(buf)] = np.abs(w @ D.coeffs)
+        return out[None]
 
-    m = _HARDY_POINTS - 1
-    sup = grid_max(m)
-    for _ in range(_HARDY_ROUNDS - 1):
-        m *= 2
-        nxt = grid_max(m)
-        stable = abs(nxt - sup) <= _HARDY_TOL * max(nxt, 1e-300)
-        sup = max(sup, nxt)
-        if stable:
-            break
+    grid = LineGrid(0.0, 0.0, lam_next, lam_next / (_HARDY_POINTS - 1))
+    ((sup, *_),) = _refine_max(weigh, 1, grid, _HARDY_TOL, _HARDY_ROUNDS)
     rhs = 3.0 * math.exp(-k * log_gap) * sup
     return lhs, rhs
 

@@ -624,6 +624,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: a result overflows the float range ({exc.args[-1]})", file=sys.stderr)
+        return 2
     return 1 if cfg.command == "suite" and payload["failed"] > 0 else 0
 
 

@@ -272,10 +272,9 @@ def neder_divergence_check(c: NederConstruction) -> List[DivergenceRow]:
     threshold = math.exp(-c.x) / 4.0
     rows = []
     for e in c.entries:
-        js = np.arange(1, e.r)
-        etas = e.lam + (e.gap / (2.0 * e.r)) * js
-        b = c.block_b[e.k]
-        total = float(np.sum((b / (e.r - js)) * np.exp(-c.x * etas)))
+        # the group's points j = 1..r-1 and their real coefficients b/(r-j)
+        group = slice(e.offset + 1, e.offset + e.r)
+        total = float(np.sum(c.coeffs[group].real * np.exp(-c.x * c.eta.values[group])))
         rows.append(
             DivergenceRow(
                 n=e.n,

@@ -27,6 +27,7 @@ every quadrature here calls it through that name, so a wrapper that rebinds
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional, Sequence
 
@@ -99,10 +100,14 @@ def typical_mean_A(D: DirichletSeries, k: float, w: complex, x: float) -> comple
     if not mask.any():
         return 0j
     lamm = lam[mask]
-    terms = D.coeffs[mask] * np.exp(-complex(w) * lamm) * np.power(x - lamm, k)
+    # an overflow is rejected below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = D.coeffs[mask] * np.exp(-complex(w) * lamm) * np.power(x - lamm, k)
     total = 0j
     for t in terms:
         total += t
+    if not cmath.isfinite(total):
+        raise ValueError(f"A_w^k(x) is not finite at w = {complex(w)}, x = {x}")
     return complex(total)
 
 

@@ -33,10 +33,12 @@ alone.
 A line is an amplitude vector a_n e^{-lambda_n sigma}, n <= m: a partial sum,
 a Riesz truncation or a sigma-level of one series, on Re s = sigma.  Line sups
 refine one t-window for all their lines together (``_refine_lines``): a round
-builds the phase rows of the points the previous round lacked once, over the
-widest prefix still refining, and each line keeps its own |values|,
-convergence test and certificate.  Rows are reused only on a true refinement,
-when the new grid's even points are the previous grid bit for bit;
+builds the phase rows of its points once, over the widest prefix still
+refining, and each line keeps its own max, convergence test and certificate.
+Every grid sup, these and Hardy's in ``bounds``, halves its step in one loop
+(``_refine_max``), which evaluates each point once: a round evaluates only
+the points the previous round lacked when its grid is a true refinement,
+that is when the new grid's even points are the previous grid bit for bit.
 ``LineGrid`` rounds W/h, so a step that does not divide the window can give
 another size, and then every point is evaluated afresh.
 """
@@ -279,21 +281,57 @@ class SupReport:
     rounds: int
 
 
+def _refine_max(rows: Callable, count: int, grid: LineGrid, tol: float, max_rounds: int) -> list:
+    """Grid max of ``count`` functions over grid's t-window (grid.sigma is not read).
+
+    ``rows(ts, live)`` gives the values at ts of the functions indexed by
+    ``live``, one row each.  Each round halves the step and asks only for the
+    points the previous grid lacked (all points when the grid is not a true
+    refinement); each function keeps only its max and the first t where it
+    occurs.  A function stops when a round raises its observed max by at most
+    ``tol``, relative, or after ``max_rounds`` rounds: that limits the change
+    between two grids, not the distance to the true sup.  Returns one
+    (max, t_at_max, largest spacing, step, rounds) per function.
+    """
+    best = [-math.inf] * count
+    t_best = [grid.t_min] * count
+    out = [None] * count
+    live = list(range(count))
+    step = grid.step
+    rounds = 0
+    old = None
+    while live:
+        ts = grid.points(step)
+        rounds += 1
+        refined = old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old)
+        fresh = ts[1::2] if refined else ts
+        prev = list(best)
+        for j, vals in zip(live, rows(fresh, live)):
+            i = int(np.argmax(vals))
+            if vals[i] > best[j]:
+                best[j], t_best[j] = float(vals[i]), float(fresh[i])
+        for j in list(live):
+            converged = rounds > 1 and abs(best[j] - prev[j]) <= tol * max(best[j], 1e-300)
+            if converged or rounds >= max_rounds:
+                out[j] = (best[j], t_best[j], float(np.max(np.diff(ts))), step, rounds)
+                live.remove(j)
+        old = ts
+        step /= 2.0
+    return out
+
+
 def _refine_lines(
     lines: Sequence[tuple],
     grid: LineGrid,
     tol_sup: float,
     max_rounds: int = _MAX_ROUNDS,
 ) -> list:
-    """One SupReport per line over grid's t-window (grid.sigma is not read).
+    """One SupReport per line over grid's t-window, refined by ``_refine_max``.
 
     A line (E, N, sigma) is S_N(E) on Re s = sigma (N = None means E.M); the
-    lines' frequencies must be prefixes lambda[:N] of one frequency.  All
-    lines start at grid.step and halve it together.  A round builds the phase
-    rows of the points the previous round lacked (every point when the grid is
-    not a true refinement) once, over the widest prefix of the lines still
-    refining; each line keeps its own |values|, first-index argmax and
-    convergence test, and leaves once it stops.
+    lines' frequencies must be prefixes lambda[:N] of one frequency.  A round
+    builds the phase rows of its points once, over the widest prefix of the
+    lines still refining.
     """
     lines = [(E, _check_N(E, N), sigma) for E, N, sigma in lines]
     if not lines:
@@ -302,55 +340,19 @@ def _refine_lines(
     for E, N, _ in lines:
         if E is not widest and not np.array_equal(E.freq.values[:N], widest.freq.values[:N]):
             raise ValueError("the lines' frequencies must be prefixes of one frequency")
-    best = [-math.inf] * len(lines)
-    t_best = [grid.t_min] * len(lines)
-    prev = [None] * len(lines)
-    vals = [None] * len(lines)  # |S_N| on the current grid, per refining line
-    reports = [None] * len(lines)
-    live = list(range(len(lines)))
-    step = grid.step
-    rounds = 0
-    old = None
-    while live:
-        ts = grid.points(step)
-        rounds += 1
+
+    def rows(ts, live):
         live_lines = [lines[j] for j in live]
-        width = max(N for _, N, _ in live_lines)
-        if old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old):
-            fresh = np.abs(_eval_line(widest, live_lines, ts[1::2], width))
-            for j, mid in zip(live, fresh):
-                full = np.empty(ts.size)
-                full[::2], full[1::2] = vals[j], mid
-                vals[j] = full
-        else:
-            for j, row in zip(live, np.abs(_eval_line(widest, live_lines, ts, width))):
-                vals[j] = row
-        for j in list(live):
-            i = int(np.argmax(vals[j]))
-            if vals[j][i] > best[j]:
-                best[j] = float(vals[j][i])
-                t_best[j] = float(ts[i])
-            converged = prev[j] is not None and abs(best[j] - prev[j]) <= tol_sup * max(best[j], 1e-300)
-            if converged or rounds >= max_rounds:
-                reports[j] = _certify(*lines[j], best[j], t_best[j], ts, step, rounds)
-                live.remove(j)
-                vals[j] = None
-            else:
-                prev[j] = best[j]
-        old = ts
-        step /= 2.0
+        return np.abs(_eval_line(widest, live_lines, ts, max(N for _, N, _ in live_lines)))
+
+    reports = []
+    results = _refine_max(rows, len(lines), grid, tol_sup, max_rounds)
+    for (E, N, sigma), (best, t_best, spacing, step, rounds) in zip(lines, results):
+        upper = min(best + E.lipschitz(sigma, N) * spacing / 2.0, E.abs_sum(sigma, N))
+        # the cap and the grid max can coincide up to summation order; the
+        # certificate must never fall below the observed lower bound
+        reports.append(SupReport(best, max(upper, best), t_best, step, rounds))
     return reports
-
-
-def _certify(D, N, sigma, best, t_best, ts, step, rounds) -> SupReport:
-    """The grid max on the final grid ts, with its certified upper bound."""
-    spacing = float(np.max(np.diff(ts)))
-    cap = D.abs_sum(sigma, N)
-    upper = min(best + D.lipschitz(sigma, N) * spacing / 2.0, cap)
-    # the cap and the grid max can coincide up to summation order; the
-    # certificate must never fall below the observed lower bound
-    upper = max(upper, best)
-    return SupReport(best, upper, t_best, step, rounds)
 
 
 def line_sup_report(
@@ -360,11 +362,11 @@ def line_sup_report(
     tol_sup: float = 1e-4,
     max_rounds: int = _MAX_ROUNDS,
 ) -> SupReport:
-    """Refine the grid (halving the step) until the max stabilizes.
+    """Refine the grid (halving the step) until a round raises the max by at
+    most ``tol_sup``, relative, or ``max_rounds`` rounds have run.
 
-    Stops when the relative change drops below ``tol_sup``.  The certified
-    upper bound is grid max + Lipschitz * h / 2 with h the largest spacing of
-    the final round (``step`` reports the nominal one), capped by the
+    The certified upper bound, grid max + Lipschitz * h / 2 with h the final
+    round's largest spacing (``step`` is the nominal one), is capped by the
     coefficient-sum bound; it covers [t_min, t_max] on this line only.
     """
     return _refine_lines([(D, N, grid.sigma)], grid, tol_sup, max_rounds)[0]
@@ -477,8 +479,13 @@ def coefficient_recover(
     s = sigma + 1j * ts
     # a named operand keeps numpy from multiplying in place (which can round differently)
     fvals = _call_reference(D.reference, s)
-    vals = fvals * np.exp(s * lam)
-    return complex(_trapezoid(vals, ts) / (2 * T))
+    # an overflow is rejected below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fvals * np.exp(s * lam)
+        got = complex(_trapezoid(vals, ts) / (2 * T))
+    if not cmath.isfinite(got):
+        raise ValueError(f"the recovered coefficient is not finite at sigma = {sigma}")
+    return got
 
 
 # ---------------------------------------------------------------------------

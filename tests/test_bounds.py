@@ -212,8 +212,8 @@ def test_hardy_in_place_chunks_keep_the_whole_chunk_bits(monkeypatch):
 
 
 def test_hardy_memory_is_one_chunk_buffer():
-    # the last rounds fill whole (1 << 20) // M-row chunks; the complex
-    # upcast in w @ coeffs alone is 16.8 MB of it
+    # the last round's 2^18 fresh points in chunks of _BLOCK_ENTRIES // M rows;
+    # whole-grid rounds in (1 << 20) // M-row chunks peaked at 27.5 MB
     D = _unsettled_hardy_series(20)
     tracemalloc.start()
     try:
@@ -221,7 +221,25 @@ def test_hardy_memory_is_one_chunk_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 20e6
+
+
+def test_hardy_weighs_each_x_point_once(monkeypatch):
+    weighed = []
+    refine_max = bounds_module._refine_max
+
+    def counting(rows, *args):
+        def counted(xs, live):
+            weighed.append(xs.size)
+            return rows(xs, live)
+
+        return refine_max(counted, *args)
+
+    monkeypatch.setattr(bounds_module, "_refine_max", counting)
+    hardy_check(_unsettled_hardy_series(20), 2, 0.25)
+    # 12 rounds: the 257 points of the first grid, then only each round's new midpoints
+    assert len(weighed) == 12
+    assert sum(weighed) == 2**19 + 1
 
 
 def test_kronecker_norm_is_an_upper_bound_for_dependent_frequencies():

@@ -307,6 +307,18 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "norm", "--kind", "log", "--n", "12", "--levels", "1100"],
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "0"],
         ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--t-height", "-5"],
+        # non-finite results
+        ["riesz", "typical", "--kind", "log", "--n", "10", "--k", "1", "--x", "3", "--sigma", "-1000"],
+        ["series", "recover", "--kind", "linear", "--n", "4", "--n-index", "2", "--sigma", "1000"],
+        # overflows
+        ["riesz", "constants", "--k", "1e-320"],
+        ["perron", "required-t", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1e-3", "--epsilon", "0.5",
+         "--tau", "1e-3"],
+        ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1000", "--k", "1", "--epsilon", "1",
+         "--t-height", "10", "--quad-tol", "0.01"],
+        # the parameter a profile regime reads, as freq check-lc and check-poly refuse it
+        ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "lc", "--delta", "0"],
+        ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "poly", "--d", "-1"],
     ]:
         _assert_exit_2(argv, capsys)
     # a mistyped tag that names no file lists the builtin tags
