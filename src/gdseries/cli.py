@@ -261,7 +261,7 @@ def _riesz_beta(cfg):
 
 
 def _riesz_error(cfg):
-    D = series.with_self_reference(cfg.series()) if cfg.self_reference else cfg.series()
+    D = series.with_self_reference(cfg.series())
     err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid(0.0))
     return {"k": cfg.k, "sigma": cfg.sigma, "x": cfg.x, "error": err}
 
@@ -434,8 +434,7 @@ _REGISTRY = (
            (_flag("--alpha", required=True), _flag("--beta", required=True), QUAD_TOL),
            _riesz_beta),
     Action("riesz", "error", "series", ("riesz.riesz_uniform_error", "series.with_self_reference"),
-           (K, X, _flag("--sigma", _finite, 0.5),
-            _flag("--self-reference", None, True, action=argparse.BooleanOptionalAction)) + WINDOW,
+           (K, X, _flag("--sigma", _finite, 0.5)) + WINDOW,
            _riesz_error),
     Action("riesz", "sigma-u-k", "series", ("riesz.sigma_u_k_estimate",),
            (K, _flag("--xs", required=True, nargs="+"), TOL_SUP) + WINDOW,

@@ -104,7 +104,7 @@ class Frequency:
             raise ValueError(
                 f"frequency values must be strictly increasing; "
                 f"violation at index {i + 1} -> {i + 2} "
-                f"({vals[i]!r} -> {vals[i + 1]!r})"
+                f"({float(vals[i])!r} -> {float(vals[i + 1])!r})"
             )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

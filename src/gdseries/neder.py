@@ -17,7 +17,6 @@ and exempted from the divergence contract, whose proof needs the full r.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -175,10 +174,8 @@ def neder_construct(
         raise ValueError("need point_budget >= 2")
     if base.M < 2:
         raise ValueError("need at least two base points (one gap to subdivide)")
-    refined = False
-    if float(np.max(base.gaps)) > 1.0:
-        base = refine_gaps(base)
-        refined = True
+    fine = refine_gaps(base)
+    base, refined = fine, fine is not base
     lam = base.values
     gaps = base.gaps
     block_ids = np.floor(lam).astype(int)
@@ -201,11 +198,8 @@ def neder_construct(
         # y = e^(e^(2x lambda) |I_k|); only log y is ever needed for the floor
         log_y = math.exp(inner) * sizes[k] if inner < 700.0 else math.inf
         y = math.exp(log_y) if log_y < 700.0 else math.inf
-        r_formula = _strict_floor(y)
-        if r_formula < 1:
-            warnings.warn(f"formula r < 1 at n={n}; forcing r = 1", stacklevel=2)
-            r_formula = 1.0
-        r = r_formula
+        # x > 0, lambda >= 0 and |I_k| >= 1 give y >= e, so r >= 2
+        r = r_formula = _strict_floor(y)
         if r_cap is not None:
             r = min(r, float(r_cap))
         room = max(1, (point_budget - used) // 2)
@@ -231,10 +225,8 @@ def neder_construct(
     coeff_pieces.append(np.zeros(1, dtype=complex))
     block_pieces.append(np.array([int(block_ids[-1])]))
 
-    eta_vals = np.concatenate(pieces)
-    if not np.all(np.diff(eta_vals) > 0):
-        raise AssertionError("eta lost strict monotonicity; construction bug")
-    eta = Frequency(eta_vals, generator=f"neder:{base.generator}")
+    # a gap too small for 2r distinct floats repeats a point, which Frequency rejects
+    eta = Frequency(np.concatenate(pieces), generator=f"neder:{base.generator}")
     return NederConstruction(
         x=x,
         base=base,

@@ -17,7 +17,9 @@ sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^18 entries (4 MiB), whatever M is.  The blocks of one call
+4096 points and 2^18 entries (4 MiB), whatever M is.  Hardy's weight rows
+sum_n a_n (x - lambda_n)_+^k in ``bounds`` run through the same blocks, with a
+builder that fills the weights into a float buffer.  The blocks of one call
 are striped over ``_WORKERS`` threads, one per core the process may run on (at
 most 8): worker w builds blocks w, w + W, ... in one reused buffer, and the
 calling thread is worker 0.  numpy releases the interpreter lock inside
@@ -178,14 +180,23 @@ def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex
     return complex(total)
 
 
-def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable) -> None:
+def _exp_block(z: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
+    """Fill phase with exp(-outer(z, lam)) by the ufunc loops of np.exp(-np.outer(...)), in place."""
+    np.multiply.outer(z, lam, out=phase)
+    np.negative(phase, out=phase)
+    np.exp(phase, out=phase)
+
+
+def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block, dtype=complex) -> None:
     """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
 
-    The blocks are striped over ``_WORKERS`` threads, the calling one included;
-    a call with one block starts no thread.  ``work`` may run concurrently
-    with itself and must not keep ``phase``, whose buffer the next block reuses.
-    The first exception raised in any worker is re-raised here once every
-    worker has stopped.
+    ``fill(z_block, lam, phase)`` may build another block in place, in a
+    buffer of ``dtype``.  The blocks are striped over ``_WORKERS`` threads,
+    the calling one included; a call with one block starts no thread.
+    ``fill`` and ``work`` may run concurrently with themselves, and ``work``
+    must not keep ``phase``, whose buffer the next block reuses.  The first
+    exception raised in any worker is re-raised here once every worker has
+    stopped.
     """
     rows = max(1, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, lam.size)))
     starts = range(0, z.size, rows)
@@ -194,15 +205,12 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable) -> None:
 
     def stripe(w: int) -> None:
         try:
-            buf = np.empty((min(rows, z.size), lam.size), dtype=complex)
+            buf = np.empty((min(rows, z.size), lam.size), dtype=dtype)
             for lo in starts[w::workers]:
                 if errors:
                     return
                 phase = buf[: min(rows, z.size - lo)]
-                # the ufunc loops of np.exp(-np.outer(...)), in place
-                np.multiply.outer(z[lo : lo + rows], lam, out=phase)
-                np.negative(phase, out=phase)
-                np.exp(phase, out=phase)
+                fill(z[lo : lo + rows], lam, phase)
                 work(lo, phase)
         except BaseException as exc:
             errors.append(exc)
@@ -217,13 +225,14 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable) -> None:
         raise errors[0]
 
 
-def _phase_sum(z: np.ndarray, lam: np.ndarray, amp) -> np.ndarray:
+def _phase_sum(z: np.ndarray, lam: np.ndarray, amp, fill=_exp_block, dtype=complex) -> np.ndarray:
     """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z.
 
     ``amp`` is one amplitude vector over lam, or a list of vectors, each over a
     prefix lam[:m] of lam, that share each phase block; a list gives one row
     per vector.  A vector over a prefix runs its GEMV on the block's first m
     columns, which gives the bits of a block built over lam[:m] alone.
+    ``fill`` and ``dtype`` replace the phase block as in ``_phase_blocks``.
     """
     single = not isinstance(amp, list)
     amps = [amp] if single else amp
@@ -238,7 +247,7 @@ def _phase_sum(z: np.ndarray, lam: np.ndarray, amp) -> np.ndarray:
         for row, a in zip(rows_out, amps):
             row[lo : lo + rows] = (phase[:, : a.size] @ a)[:rows]
 
-    _phase_blocks(z, lam, gemv)
+    _phase_blocks(z, lam, gemv, fill, dtype)
     return out
 
 

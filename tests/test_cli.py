@@ -259,6 +259,8 @@ def test_usage_errors_exit_2(capsys):
         # --params is read only by the custom-from-list kind
         ["freq", "make", "--kind", "log", "--n", "3", "--params", "5", "6", "7"],
         ["freq", "make", "--n", "1", "--params", "5"],
+        # riesz error always checks against the series' own sum
+        ["riesz", "error", "--kind", "linear", "--n", "8", "--k", "1", "--x", "4.0", "--no-self-reference"],
     ):
         _assert_exit_2(argv, capsys)
 
@@ -286,6 +288,9 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "sup", "--freq-file", freq_file, "--params", "1", "--grid-t-max", "10"],
         ["bound", "sn", "--kind", "linear", "--n", "5", "--n-index", "0", "--k", "1"],
         ["series", "sup", "--kind", "log", "--n", "12", "--grid-t-max", "10", "--tol-sup", "0"],
+        # gaps near 1e-15 too small for 2r distinct points repeat a float of eta
+        ["neder", "build", "--kind", "interleave-exp2", "--n", "12", "--x", "0.1"],
+        ["neder", "build", "--kind", "interleave-expexp2", "--n", "4", "--x", "0.1"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "0"],
         ["neder", "identity", "--kind", "linear", "--n", "6", "--x", "0.1", "--samples", "-1"],
         # no block lies in the prefix, so the identity would check nothing

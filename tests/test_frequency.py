@@ -50,7 +50,8 @@ def test_make_frequency_rejects_unknown_kind():
 
 
 def test_make_frequency_rejects_non_monotone_custom():
-    with pytest.raises(ValueError):
+    # the message names the repeated value as a plain float
+    with pytest.raises(ValueError, match=r"index 2 -> 3 \(1\.0 -> 1\.0\)$"):
         make_frequency("custom-from-list", 3, [0.0, 1.0, 1.0])
 
 

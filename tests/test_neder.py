@@ -13,6 +13,7 @@ from gdseries import (
     neder_cauchy_check,
     neder_construct,
     neder_divergence_check,
+    refine_gaps,
 )
 
 
@@ -115,6 +116,18 @@ def test_divergence_thresholds_scale_with_x():
         c = neder_construct(base_integers(), x)
         rows = neder_divergence_check(c)
         assert all(r.threshold == pytest.approx(math.exp(-x) / 4.0) for r in rows)
+        assert all(r.passed for r in rows if not r.exempt)
+
+
+def test_bases_with_a_gap_above_one_are_refined_first():
+    for values in ([0.0, 2.5, 3.0], [0.0, 0.5, 3.2, 4.0]):
+        freq = Frequency(np.array(values))
+        c = neder_construct(freq, 0.1)
+        assert c.refined
+        assert np.array_equal(c.base.values, refine_gaps(freq).values)
+        assert np.all(np.diff(c.eta.values) > 0)
+        rows = neder_divergence_check(c)
+        assert any(not r.exempt for r in rows)
         assert all(r.passed for r in rows if not r.exempt)
 
 
