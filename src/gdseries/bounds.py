@@ -300,15 +300,31 @@ def _partial_sup_profile(
     stack of coefficient vectors over D's frequency, takes the place of
     D.coeffs: the result has one row of sups per vector, from one build of
     each phase block.
+
+    The products, their cumulative sum and its moduli are built in place, by
+    the same ufunc loops and in the same order as
+    ``np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)``.  Per worker this
+    holds the phase block plus one float block of moduli; a single vector
+    folds in the phase block itself, while a stack, whose members all read
+    the same block, adds one complex block per worker.
     """
     lam = D.freq.values
     amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * np.exp(-lam * grid.sigma)
     sups = np.zeros(amps.shape)
     lock = threading.Lock()
+    local = threading.local()
 
     def fold(_, phase):
+        rows = phase.shape[0]
+        if len(getattr(local, "mag", ())) < rows:
+            local.mag = np.empty(phase.shape)
+            local.part = None if coeffs is None else np.empty_like(phase)
+        mag = local.mag[:rows]
+        part = phase if coeffs is None else local.part[:rows]
         for amp, sup in zip(amps, sups):
-            colmax = np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
+            np.multiply(phase, amp, out=part)
+            np.cumsum(part, axis=1, out=part)
+            colmax = np.abs(part, out=mag).max(axis=0)
             # a column max is exact and order-free, so blocks may fold in any order
             with lock:
                 np.maximum(sup, colmax, out=sup)

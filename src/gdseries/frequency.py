@@ -158,21 +158,19 @@ def _first_primes(m: int) -> np.ndarray:
     """The first ``m`` primes via a deterministic sieve."""
     if m < 1:
         raise ValueError("need m >= 1")
+    # one pass suffices: p_m < m (log m + log log m) for m >= 6 (Rosser &
+    # Schoenfeld, Illinois J. Math. 6, 1962), and p_5 = 11 < 13
     if m < 6:
         bound = 13
     else:
         fm = float(m)
         bound = int(fm * (math.log(fm) + math.log(math.log(fm)))) + 3
-    while True:
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(bound**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.flatnonzero(sieve)
-        if primes.size >= m:
-            return primes[:m].astype(float)
-        bound *= 2
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(bound**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)[:m].astype(float)
 
 
 def _interleaved(M: int, *, double_exponential: bool) -> Frequency:

@@ -193,10 +193,10 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_bloc
     ``fill(z_block, lam, phase)`` may build another block in place, in a
     buffer of ``dtype``.  The blocks are striped over ``_WORKERS`` threads,
     the calling one included; a call with one block starts no thread.
-    ``fill`` and ``work`` may run concurrently with themselves, and ``work``
-    must not keep ``phase``, whose buffer the next block reuses.  The first
-    exception raised in any worker is re-raised here once every worker has
-    stopped.
+    ``fill`` and ``work`` may run concurrently with themselves.  ``work`` may
+    overwrite ``phase`` in place but must not keep it, since the next block
+    reuses its buffer.  The first exception raised in any worker is re-raised
+    here once every worker has stopped.
     """
     rows = max(1, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, lam.size)))
     starts = range(0, z.size, rows)

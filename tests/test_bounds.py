@@ -22,6 +22,7 @@ from gdseries import (
     theorem_bound_profile,
 )
 from gdseries import bounds as bounds_module
+from gdseries import series as series_module
 from gdseries.bounds import _log_ratios, _partial_sup_profile
 from gdseries.estimates import windowed_limsup
 
@@ -312,6 +313,32 @@ def test_partial_sup_profile_matches_direct_loop():
         assert sups[N - 1] == pytest.approx(direct, rel=1e-12)
 
 
+def test_partial_sup_profile_memory_is_a_phase_and_a_float_block_per_worker(monkeypatch):
+    # at M = 2000 a block is 131 rows: 4.2 MB of phases and 2.1 MB of moduli
+    # per worker; whole-block products, sums and moduli peaked at 23.1 MB
+    monkeypatch.setattr(series_module, "_WORKERS", 2)
+    D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
+    tracemalloc.start()
+    try:
+        sigma_u_estimate(D, LineGrid(0.0, 0.0, 100.0, 0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_sigma_u_with_two_ratios_is_inconclusive():
+    # lambda_1 = log 1 = 0 forms no ratio, which leaves N = 2, 3: too few for a trend
+    D = DirichletSeries(make_frequency("log", 3), np.ones(3))
+    est = sigma_u_estimate(D, LineGrid(0.0, 0.0, 100.0, 0.05))
+    assert [N for N, _ in est.ratios] == [2, 3]
+    # every term is 1 at t = 0, so sup |S_N| = N = e^{lambda_N}
+    assert [r for _, r in est.ratios] == pytest.approx([1.0, 1.0], rel=1e-14)
+    assert est.window_size == 1
+    assert est.estimate == est.ratios[-1][1]
+    assert est.trend == "inconclusive"
+
+
 def test_bohr_corollary_sups_stabilize_at_sigma_one():
     # partial-sum sups on the sigma = 1 line settle to a plateau: the
     # running max over N is flat across the whole final third
@@ -339,6 +366,16 @@ def test_delta_sequence_requires_shared_frequency():
     fam_bad = [fam_good[0], DirichletSeries(other, np.ones(16, dtype=complex))]
     with pytest.raises(ValueError):
         delta_sequence_estimate(fam_bad, grid)
+
+
+def test_delta_sequence_skips_members_without_ratios():
+    # on log with M = 1 the only frequency is lambda_1 = 0, so no member has a ratio
+    freq = make_frequency("log", 1)
+    family = [DirichletSeries(freq, [c]) for c in (1.0, -2.0, 0.5j)]
+    est = delta_sequence_estimate(family, LineGrid(0.0, 0.0, 20.0, 0.1))
+    assert est.ratios == ()
+    assert est.estimate == -math.inf
+    assert est.trend == "inconclusive"
 
 
 def test_delta_family_shares_each_phase_block(monkeypatch):

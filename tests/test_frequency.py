@@ -16,6 +16,7 @@ from gdseries import (
     read_frequency_file,
     refine_gaps,
 )
+from gdseries.frequency import _first_primes
 
 
 def test_builtin_kinds_construct_and_are_monotone():
@@ -37,6 +38,24 @@ def test_log_frequency_is_log_n():
     freq = make_frequency("log", 6)
     assert np.allclose(freq.values, np.log(np.arange(1, 7)))
     assert freq.values[0] == 0.0
+
+
+def test_first_primes_sieve_bound_covers_the_mth_prime():
+    # _first_primes sieves once, up to int(m (log m + log log m)) + 3 for
+    # m >= 6; an odd-only sieve gives the m-th prime to check it against
+    limit = 1_400_000
+    odd = np.ones(limit // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, math.isqrt(limit) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.concatenate([[2], 2 * np.flatnonzero(odd) + 1])
+    assert primes.size >= 10**5
+    bounds = [int(m * (math.log(m) + math.log(math.log(m)))) + 3 for m in range(6, 10**5 + 1)]
+    assert np.all(np.array(bounds) > primes[5 : 10**5])
+    for m in (1, 2, 5, 6, 7, 1000, 10**5):
+        assert np.array_equal(_first_primes(m), primes[:m])
 
 
 def test_logprimes_is_q_independent_and_log_is_not():

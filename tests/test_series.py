@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdseries import (
+    BUILTIN_KINDS,
     DirichletSeries,
     Frequency,
     LineGrid,
@@ -33,6 +34,7 @@ from gdseries.bounds import _partial_sup_profile
 from gdseries import series as series_module
 from gdseries.series import (
     _BLOCK_ENTRIES,
+    _BLOCK_POINTS,
     NormReport,
     SupReport,
     _eval_line,
@@ -632,3 +634,31 @@ def test_partial_sup_profile_folds_every_block_under_contention(monkeypatch):
             assert np.array_equal(_partial_sup_profile(D, grid), want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_partial_sup_profile_folds_in_place_to_the_one_shot_bits(monkeypatch):
+    # the in-place fold against the whole-block formula on rows + 1 points,
+    # a full block and one of one row; the three members of a stack read one
+    # phase block, so none may fold into it
+    for kind in BUILTIN_KINDS:
+        if kind == "custom-from-list":
+            continue
+        for M in (1, 2, 131, 132, 4096):
+            rows = min(_BLOCK_POINTS, _BLOCK_ENTRIES // M)
+            grid = LineGrid(0.1, 0.0, 0.05 * rows, 0.05)
+            ts = grid.points()
+            assert ts.size == rows + 1
+            rng = np.random.default_rng(M)
+            coeffs = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+            D = DirichletSeries(make_frequency(kind, M), coeffs[0])
+            lam = D.freq.values
+            phase = np.exp(-1j * np.outer(ts, lam))
+            one_shot = [
+                np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
+                for amp in coeffs * np.exp(-lam * grid.sigma)
+            ]
+            for workers in (1, 3):
+                monkeypatch.setattr(series_module, "_WORKERS", workers)
+                assert np.array_equal(_partial_sup_profile(D, grid), one_shot[0])
+                for row, want in zip(_partial_sup_profile(D, grid, coeffs), one_shot):
+                    assert np.array_equal(row, want)
