@@ -231,18 +231,11 @@ def criterion_6(seed: int) -> Tuple[bool, str]:
         lam_hi = float(D.freq.values[-1])
         xs = np.linspace(0.3 * lam_hi, 1.3 * lam_hi, 6) + 1e-3
         # every truncation is a prefix of D's frequency: one refinement for all
-        lines, bounds = [], []
-        for k in (0.25, 0.5, 1.0):
-            bound = c_exact(k) * cert
-            for x in xs:
-                trunc = riesz_truncation(D, k, float(x))
-                if trunc is None:
-                    continue
-                lines.append((trunc, None, grid.sigma))
-                bounds.append(bound)
-        checked += len(lines)
-        reports = _refine_lines(lines, grid, tol_sup=1e-4, max_rounds=3)
-        violations += sum(rep.value > bound + 1e-9 for rep, bound in zip(reports, bounds))
+        found = [(riesz_truncation(D, k, float(x)), c_exact(k) * cert) for k in (0.25, 0.5, 1.0) for x in xs]
+        found = [(trunc.coeffs, bound) for trunc, bound in found if trunc is not None]
+        checked += len(found)
+        reports = _refine_lines(D, [(c, grid.sigma) for c, _ in found], grid, tol_sup=1e-4, max_rounds=3)
+        violations += sum(rep.value > bound + 1e-9 for rep, (_, bound) in zip(reports, found))
     return (
         violations == 0,
         f"violations = {violations}/{checked} sups; c_exact(1)-e/2 = {anchor:.1e}",

@@ -247,7 +247,7 @@ def sigma_u_k_estimate(
     # the truncations are prefixes of D's frequency: one refinement for all
     found = [(i, x, riesz_truncation(D, k, x)) for i, x in enumerate(xs, start=1)]
     found = [(i, x, trunc) for i, x, trunc in found if trunc is not None]
-    reports = _refine_lines([(trunc, None, 0.0) for _, _, trunc in found], grid, tol_sup)
+    reports = _refine_lines(D, [(trunc.coeffs, 0.0) for _, _, trunc in found], grid, tol_sup)
     pairs = [(i, math.log(rep.value) / x) for (i, x, _), rep in zip(found, reports) if rep.value > 0]
     return windowed_limsup("sigma_u_k", pairs)
 

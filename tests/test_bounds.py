@@ -222,9 +222,11 @@ def test_hardy_rhs_does_not_depend_on_the_chunking():
     assert len(rhs) == 1
 
 
-def test_hardy_memory_is_one_chunk_buffer():
-    # the last round's 2^18 fresh points in chunks of _BLOCK_ENTRIES // M rows;
-    # whole-grid rounds in (1 << 20) // M-row chunks peaked at 27.5 MB
+def test_hardy_memory_is_one_chunk_buffer(monkeypatch):
+    # the last round's 2^18 fresh points in chunks of _BLOCK_ENTRIES // M rows,
+    # one 2 MB buffer per worker; whole-grid rounds in (1 << 20) // M-row
+    # chunks peaked at 27.5 MB
+    monkeypatch.setattr(series_module, "_WORKERS", 2)
     D = _unsettled_hardy_series(20)
     tracemalloc.start()
     try:

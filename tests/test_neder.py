@@ -15,6 +15,7 @@ from gdseries import (
     neder_divergence_check,
     refine_gaps,
 )
+from gdseries.neder import _strict_floor
 
 
 def base_integers():
@@ -179,6 +180,15 @@ def test_series_view_matches_construction():
     D = c.series()
     assert D.M == c.eta.M
     assert np.array_equal(np.asarray(c.coeffs), D.coeffs)
+
+
+def test_construct_passes_an_infinite_y_to_the_point_budget():
+    # at x = 1, y = exp(e^{2 x lambda}) overflows from lambda = 4 on; r then
+    # comes from what is left of the 10,000-point budget
+    assert _strict_floor(math.inf) == math.inf
+    c = neder_construct(base_integers(), 1.0)
+    assert [e.r for e in c.entries] == [1618, 3382, 1, 1, 1, 1, 1]
+    assert all(e.cap_applied for e in c.entries[1:])
 
 
 def test_construct_rejects_nonpositive_x():

@@ -23,6 +23,7 @@ from gdseries import (
     riesz_uniform_error,
     sigma_u_k_estimate,
     typical_mean_A,
+    with_self_reference,
 )
 
 small_series = st.builds(
@@ -83,6 +84,12 @@ def test_truncation_empty_below_first_frequency():
     assert riesz_truncation(D, 1.0, 1.5) is None
 
 
+def test_typical_mean_is_zero_below_the_first_frequency():
+    # lambda_1 = log 2 > 0.5: the sum has no term
+    D = DirichletSeries(make_frequency("logprimes", 5), np.ones(5, dtype=complex))
+    assert typical_mean_A(D, 1.0, 0.3 + 1j, 0.5) == 0j
+
+
 def test_typical_mean_matches_scaled_mean():
     D = DirichletSeries(make_frequency("linear", 8), (np.arange(8) + 1).astype(complex))
     k, x, w = 0.5, 5.5, 0.2 + 1.1j
@@ -100,6 +107,13 @@ def test_abel_integral_residual_is_rounding_level(D, k):
     if np.min(np.abs(D.freq.values - x)) < 1e-9:
         x += 1e-3
     assert check_abel_integral(D, k, x) < 1e-10
+
+
+@pytest.mark.parametrize("k, x", [(0.5, 2.0), (1.0, 2.5), (0.25, 0.9)])
+def test_abel_integral_skips_the_segment_below_the_first_frequency(k, x):
+    # lambda_1 = log 2 > 0: A^0 vanishes on [0, lambda_1)
+    D = DirichletSeries(make_frequency("logprimes", 5), np.ones(5, dtype=complex))
+    assert check_abel_integral(D, k, x) < 1e-12
 
 
 def test_abel_rejects_x_at_a_frequency():
@@ -168,16 +182,38 @@ def test_uniform_error_needs_a_reference():
         riesz_uniform_error(D, 1.0, 0.5, 4.0, LineGrid(0.5, 0.0, 6.3, 0.01))
 
 
-def test_uniform_error_geometric_golden():
+def _criterion_5_series():
+    """Ones on lambda_n = n - 1, n <= 128, with f = 1/(1 - e^{-s}), and its grid on Re s = 1/2."""
     M = 128
     D = DirichletSeries(
         make_frequency("linear", M),
         np.ones(M, dtype=complex),
         reference=lambda s: 1.0 / (1.0 - np.exp(-np.asarray(s, dtype=complex))),
     )
-    grid = LineGrid(0.5, 0.0, 2.0 * math.pi, 1e-3)
+    return D, LineGrid(0.5, 0.0, 2.0 * math.pi, 1e-3)
+
+
+def test_uniform_error_geometric_golden():
+    D, grid = _criterion_5_series()
     err = riesz_uniform_error(D, 1.0, 0.5, 20.0, grid)
     assert err == pytest.approx(0.19587601129073473, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [40.0, 80.0, 160.0])
+def test_uniform_error_follows_the_derivative_law(x):
+    # f - R_x^1 f = -f'/x + O(e^{-x/2}) on Re s = 1/2, and sup |f'| there is
+    # e^{-1/2} / (1 - e^{-1/2})^2, taken at t = 0
+    D, grid = _criterion_5_series()
+    law = math.exp(-0.5) / (1.0 - math.exp(-0.5)) ** 2
+    assert x * riesz_uniform_error(D, 1.0, 0.5, x, grid) == pytest.approx(law, rel=1e-8)
+
+
+def test_uniform_error_of_an_empty_truncation_is_the_sup_of_f():
+    # no frequency lies below x = 0.5 < log 2, so R_x^1 is the zero function
+    D = with_self_reference(DirichletSeries(make_frequency("logprimes", 5), np.ones(5, dtype=complex)))
+    grid = LineGrid(0.5, 0.0, 10.0, 0.01)
+    fmax = np.max(np.abs(D.reference(0.5 + 1j * grid.points())))
+    assert riesz_uniform_error(D, 1.0, 0.5, 0.5, grid) == fmax
 
 
 def test_sigma_u_k_growth_series_golden():

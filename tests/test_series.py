@@ -208,7 +208,8 @@ def test_certificate_uses_the_sampled_spacing():
     D = DirichletSeries(Frequency(np.array([0.0, 0.1])), np.array([1.0, -1.0], dtype=complex))
     rep = line_sup_report(D, None, LineGrid(0.0, 0.0, 1.0, 0.4), max_rounds=1)
     assert rep.step == 0.4
-    assert rep.certified_upper >= rep.value + D.lipschitz(0.0) * 0.25
+    # the Lipschitz constant on Re s = 0 is sum |a_n| lambda_n
+    assert rep.certified_upper >= rep.value + math.fsum(np.abs(D.coeffs) * D.freq.values) * 0.25
 
 
 def test_coefficient_recover_small_polynomial():
@@ -349,7 +350,9 @@ def _naive_line_sup(D, N, grid, tol_sup=1e-4, max_rounds=10):
         prev = best
         step /= 2.0
     spacing = float(np.max(np.diff(ts)))
-    upper = min(best + D.lipschitz(grid.sigma, N) * spacing / 2.0, D.abs_sum(grid.sigma, N))
+    lam = D.freq.values[:N]
+    lipschitz = math.fsum(np.abs(D.coeffs[:N]) * lam * np.exp(-lam * grid.sigma))
+    upper = min(best + lipschitz * spacing / 2.0, D.abs_sum(grid.sigma, N))
     return SupReport(best, max(upper, best), t_best, step, rounds)
 
 
@@ -368,9 +371,9 @@ def rows_built(monkeypatch):
     count = [0]
     inner = series_module._eval_line
 
-    def counting(D, sigma, ts, N=None):
+    def counting(D, line, ts, N=None):
         count[0] += ts.size
-        return inner(D, sigma, ts, N)
+        return inner(D, line, ts, N)
 
     monkeypatch.setattr(series_module, "_eval_line", counting)
     return count
@@ -427,10 +430,14 @@ def test_halfplane_norm_is_bit_identical_with_levels_stopping_in_different_round
     assert rows_built[0] == _fresh_rows(grid, max(r.rounds for r in reps))
 
 
+def _amplitudes(D, N, sigmas):
+    return [D.coeffs[:N] * np.exp(-D.freq.values[:N] * sigma) for sigma in sigmas]
+
+
 def test_eval_line_gives_one_row_per_sigma():
     D = _seeded("logprimes", 50, 1)
     ts = LineGrid(0.0, 0.0, 10.0, 0.1).points()
-    rows = _eval_line(D, [0.0, 0.25, 1.0], ts, 30)
+    rows = _eval_line(D, _amplitudes(D, 30, (0.0, 0.25, 1.0)), ts, 30)
     assert rows.shape == (3, ts.size)
     for row, sigma in zip(rows, (0.0, 0.25, 1.0)):
         assert np.array_equal(row, _eval_line(D, sigma, ts, 30))
@@ -461,7 +468,12 @@ def test_line_sup_report_builds_only_the_new_points(rows_built):
 def _riesz_lines(D, xs, sigma, ks=(0.25, 0.5, 1.0)):
     """One line per non-empty truncation R_x^k(D): prefixes of D's frequency."""
     truncs = (riesz_truncation(D, k, float(x)) for k in ks for x in xs)
-    return [(trunc, None, sigma) for trunc in truncs if trunc is not None]
+    return [(trunc.coeffs, sigma) for trunc in truncs if trunc is not None]
+
+
+def _over_prefix(D, c):
+    """The series of coefficients c over D's first len(c) frequencies."""
+    return DirichletSeries(Frequency(D.freq.values[: c.size]), c)
 
 
 def _criterion_6_lines(D):
@@ -470,31 +482,36 @@ def _criterion_6_lines(D):
 
 
 @pytest.mark.parametrize(
-    "lines, window, tol_sup, max_rounds",
+    "D, lines, window, tol_sup, max_rounds",
     [
         # criterion 6: 18 truncations of each of four of its polynomials
         *[
-            (_criterion_6_lines(D), (0.0, 60.0, 0.05), 1e-4, 3)
+            (D, _criterion_6_lines(D), (0.0, 60.0, 0.05), 1e-4, 3)
             for D, _ in acceptance._polynomial_family(7)[2:6]
         ],
         # the widest prefix takes 699 points per block, so the 700 new points
         # of round 2 take a full block and a block of one point
         (
-            [(_seeded("log", 375, 8), N, sg) for N in (375, 374, 200, 1) for sg in (1e-3, 0.5)]
+            _seeded("log", 375, 8),
+            [(_seeded("log", 375, 8).coeffs[:N], sg) for N in (375, 374, 200, 1) for sg in (1e-3, 0.5)]
             + _riesz_lines(_seeded("log", 375, 8), (2.0, 4.0, 5.9), 0.25),
             (0.0, 35.0, 0.05), 1e-12, 2,
         ),
         # round 2 is not a true refinement and is evaluated afresh; the lines
         # stop in rounds 2 to 5, the widest ones first
-        (_riesz_lines(_seeded("log", 40, 3), (1.0, 2.5, 3.0, 3.7), 1e-3), (-3.0, 17.3, 0.09), 1e-7, 10),
+        (
+            _seeded("log", 40, 3),
+            _riesz_lines(_seeded("log", 40, 3), (1.0, 2.5, 3.0, 3.7), 1e-3),
+            (-3.0, 17.3, 0.09), 1e-7, 10,
+        ),
     ],
     ids=[f"criterion-6-{i}" for i in range(2, 6)] + ["multi-block", "not-a-refinement"],
 )
-def test_lines_over_prefixes_equal_one_line_sup_each(lines, window, tol_sup, max_rounds, rows_built):
+def test_lines_over_prefixes_equal_one_line_sup_each(D, lines, window, tol_sup, max_rounds, rows_built):
     grid = LineGrid(0.0, *window)
-    want = [line_sup_report(E, N, LineGrid(sg, *window), tol_sup, max_rounds) for E, N, sg in lines]
+    want = [line_sup_report(_over_prefix(D, c), None, LineGrid(sg, *window), tol_sup, max_rounds) for c, sg in lines]
     rows_built[0] = 0
-    got = _refine_lines(lines, grid, tol_sup, max_rounds)
+    got = _refine_lines(D, lines, grid, tol_sup, max_rounds)
     assert got == want
     # one build of each round's new rows for all lines
     assert rows_built[0] == _fresh_rows(grid, max(rep.rounds for rep in got))
@@ -504,27 +521,27 @@ def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
     widths = []
     inner = series_module._eval_line
 
-    def recording(D, sigma, ts, N=None):
+    def recording(D, line, ts, N=None):
         widths.append(N)
-        return inner(D, sigma, ts, N)
+        return inner(D, line, ts, N)
 
     monkeypatch.setattr(series_module, "_eval_line", recording)
-    lines = _riesz_lines(_seeded("log", 40, 3), (1.0, 2.5, 3.0, 3.7), 1e-3)
-    reps = _refine_lines(lines, LineGrid(0.0, -3.0, 17.3, 0.09), 1e-7)
-    live = [max(E.M for (E, _, _), rep in zip(lines, reps) if rep.rounds >= r) for r in range(1, 6)]
+    D = _seeded("log", 40, 3)
+    lines = _riesz_lines(D, (1.0, 2.5, 3.0, 3.7), 1e-3)
+    reps = _refine_lines(D, lines, LineGrid(0.0, -3.0, 17.3, 0.09), 1e-7)
+    live = [max(c.size for (c, _), rep in zip(lines, reps) if rep.rounds >= r) for r in range(1, 6)]
     # the 40-term truncations stop after round 3, a 20-term one runs to round 5
     assert live == [40, 40, 40, 20, 20]
     assert widths == live
     D = acceptance._polynomial_family(7)[2][0]
-    reps = _refine_lines(_criterion_6_lines(D), LineGrid(1e-3, 0.0, 60.0, 0.05), 1e-4, 3)
+    reps = _refine_lines(D, _criterion_6_lines(D), LineGrid(1e-3, 0.0, 60.0, 0.05), 1e-4, 3)
     assert {rep.rounds for rep in reps} == {2, 3}
 
 
 def test_lines_must_share_one_frequency():
-    D, E = _seeded("log", 20, 1), _seeded("linear", 20, 1)
-    with pytest.raises(ValueError, match="prefixes of one frequency"):
-        _refine_lines([(D, 20, 0.0), (E, 10, 0.0)], LineGrid(0.0, 0.0, 10.0, 0.1), 1e-4)
-    assert _refine_lines([], LineGrid(0.0, 0.0, 10.0, 0.1), 1e-4) == []
+    # every line is a coefficient row over D's frequency; no lines give no reports
+    D = _seeded("log", 20, 1)
+    assert _refine_lines(D, [], LineGrid(0.0, 0.0, 10.0, 0.1), 1e-4) == []
 
 
 def test_sigma_u_k_ratios_equal_one_line_sup_per_length():
@@ -567,7 +584,7 @@ def test_results_do_not_depend_on_the_worker_count(striped, workers, monkeypatch
     def results():
         return [
             _eval_line(D, grid.sigma, ts),
-            _eval_line(D, [0.0, grid.sigma, 1.0], ts, 300),
+            _eval_line(D, _amplitudes(D, 300, (0.0, grid.sigma, 1.0)), ts, 300),
             _eval_points(D, grid.sigma + 1j * ts),
             _partial_sup_profile(D, grid),
             line_sup_report(D, None, grid),
