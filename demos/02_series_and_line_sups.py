@@ -39,7 +39,7 @@ for sigma in (0.0, 0.25, 1.0):
 print("\nabs-sum ceiling at sigma=0:", D.abs_sum(0.0))
 
 # half-plane norm: sups at decreasing sigma levels toward the boundary
-rep = halfplane_norm(D, t_min=0.0, t_max=200.0, step=0.05, levels=6)
+rep = halfplane_norm(D, LineGrid(1e-3, 0.0, 200.0, 0.05), levels=6)
 print("half-plane estimate:", rep.estimate, "certified <=", rep.certified_upper)
 
 # translation D_tau(s) = D(s + tau) folds the shift into the coefficients

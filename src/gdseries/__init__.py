@@ -1,11 +1,13 @@
 """Numerical laboratory for general Dirichlet series sum a_n e^(-lambda_n s).
 
 Frequencies, gap conditions and density estimates live in ``frequency``;
-series evaluation with certified line sups in ``series``; Riesz typical means
-and their integral identities in ``riesz``; partial-sum bounds and abscissa
+the windowed limsup behind every abscissa estimate in ``estimates``; series
+evaluation with certified line sups in ``series``; Riesz typical means and
+their integral identities in ``riesz``; partial-sum bounds and abscissa
 estimators in ``bounds``; the truncated Perron formula in ``perron``; the
-Neder divergent-but-Cauchy construction in ``neder``.  ``cli`` wires every
-operation to a subcommand.
+Neder divergent-but-Cauchy construction in ``neder``; the twelve numbered
+acceptance checks in ``acceptance``.  ``cli`` wires every operation to a
+subcommand.
 
 Public names are declared in one place only: the ``__all__`` of the module
 that defines them.  The package re-exports every one of them, and its own

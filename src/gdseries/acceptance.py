@@ -75,6 +75,8 @@ GOLDEN_C_OBS = 3.6546588850074464
 GOLDEN_CAUCHY = (4.69346378970416, 9.006491622867447)
 GOLDEN_PROFILE_MID = {"bc": 8.570826391190462, "lc": 2.5957679382967505, "poly": 9.297500312051843}
 GOLDEN_L_SQRTLOG = 3.034854258770293
+# criteria 6 and 7 read their sups and certified norms on this window
+_FAMILY_GRID = LineGrid(1e-3, 0.0, 60.0, 0.05)
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def _polynomial_family(seed: int) -> Tuple[Tuple[DirichletSeries, float], ...]:
         lam -= lam[0]
         coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         D = DirichletSeries(Frequency(lam), coeffs)
-        cert = halfplane_norm(D, t_min=0.0, t_max=60.0, step=0.05, levels=6).certified_upper
+        cert = halfplane_norm(D, _FAMILY_GRID, levels=6).certified_upper
         family.append((D, cert))
     return tuple(family)
 
@@ -224,7 +226,6 @@ def criterion_6(seed: int) -> Tuple[bool, str]:
     quad_route = abs(c_exact(1.0) - (math.e / math.pi) * math.gamma(2.0) * proof_integral(1.0))
     if anchor > 1e-6 or quad_route > 1e-9:
         return False, f"c_exact(1) anchor off: |c-e/2|={anchor:.2e}, quad route {quad_route:.2e}"
-    grid = LineGrid(1e-3, 0.0, 60.0, 0.05)
     violations = 0
     checked = 0
     for D, cert in _polynomial_family(seed):
@@ -234,7 +235,8 @@ def criterion_6(seed: int) -> Tuple[bool, str]:
         found = [(riesz_truncation(D, k, float(x)), c_exact(k) * cert) for k in (0.25, 0.5, 1.0) for x in xs]
         found = [(trunc.coeffs, bound) for trunc, bound in found if trunc is not None]
         checked += len(found)
-        reports = _refine_lines(D, [(c, grid.sigma) for c, _ in found], grid, tol_sup=1e-4, max_rounds=3)
+        lines = [(c, _FAMILY_GRID.sigma) for c, _ in found]
+        reports = _refine_lines(D, lines, _FAMILY_GRID, tol_sup=1e-4, max_rounds=3)
         violations += sum(rep.value > bound + 1e-9 for rep, (_, bound) in zip(reports, found))
     return (
         violations == 0,
@@ -244,11 +246,10 @@ def criterion_6(seed: int) -> Tuple[bool, str]:
 
 def criterion_7(seed: int) -> Tuple[bool, str]:
     """Partial-sum bound chain: line_sup(S_N) <= sn_bound(exact) * cert norm."""
-    grid = LineGrid(1e-3, 0.0, 60.0, 0.05)
     violations = 0
     checked = 0
     for D, cert in _polynomial_family(seed):
-        sups = _partial_sup_profile(D, grid)
+        sups = _partial_sup_profile(D, _FAMILY_GRID)
         for N in range(1, D.M):
             lhs = float(sups[N - 1])
             for k in (0.25, 0.5, 1.0):

@@ -4,8 +4,9 @@ Layout: ``gdseries COMMAND ACTION [flags]`` with commands {freq, series,
 riesz, bound, abscissa, perron, neder, suite}.  JSON (sorted keys) is the
 canonical output; ``--format csv`` is accepted only for two-column tables
 (profiles, ratio sequences) and for the coefficient file format itself.
-Exit codes: 0 success, 1 failed check in a suite run, 2 usage error or bad
-input (``error: ...`` on stderr, nothing on stdout).
+Exit codes: 0 success, 1 failed check in a suite run, 2 usage error, bad
+input or an array too large to allocate (``error: ...`` on stderr, nothing on
+stdout).
 
 Each action is declared once, by one ``Action`` entry in the registry below:
 the library operations it owns, its input source (none, a frequency or a
@@ -129,11 +130,11 @@ class RunConfig(argparse.Namespace):
     attribute.  The source flags describe one series descriptor."""
 
     coeffs = coeffs_file = descriptor = None  # frequency actions lack these flags
+    grid_sigma = 0.0  # ``WINDOW`` actions lack --grid-sigma: their grid lies on Re s = 0
 
-    def grid(self, sigma: Optional[float] = None) -> LineGrid:
-        """The ``LINE`` flags, or the ``WINDOW`` flags on the line Re s = ``sigma``."""
-        sigma = self.grid_sigma if sigma is None else sigma
-        return LineGrid(sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
+    def grid(self) -> LineGrid:
+        """The ``LINE`` flags, or the ``WINDOW`` flags on the line Re s = 0."""
+        return LineGrid(self.grid_sigma, self.grid_t_min, self.grid_t_max, self.grid_step)
 
     def source(self) -> dict:
         """The series descriptor: ``--descriptor``, or the other source flags
@@ -262,7 +263,7 @@ def _riesz_beta(cfg):
 
 def _riesz_error(cfg):
     D = series.with_self_reference(cfg.series())
-    err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid(0.0))
+    err = riesz.riesz_uniform_error(D, cfg.k, cfg.sigma, cfg.x, cfg.grid())
     return {"k": cfg.k, "sigma": cfg.sigma, "x": cfg.x, "error": err}
 
 
@@ -291,7 +292,7 @@ def _abscissa_delta(cfg):
         DirichletSeries(freq, series.builtin_coefficients("seeded-normal", freq.M, cfg.seed + j))
         for j in range(cfg.count)
     ]
-    return _with_ratios(bounds.delta_sequence_estimate(family, cfg.grid(0.0)))
+    return _with_ratios(bounds.delta_sequence_estimate(family, cfg.grid()))
 
 
 def _perron(cfg, op):
@@ -415,8 +416,7 @@ _REGISTRY = (
            lambda cfg: series.line_sup_report(cfg.series(), cfg.n_terms, cfg.grid(), cfg.tol_sup)),
     Action("series", "norm", "series", ("series.halfplane_norm",),
            (_flag("--levels", int, 8), TOL_SUP) + LINE,
-           lambda cfg: series.halfplane_norm(cfg.series(), cfg.grid_t_min, cfg.grid_t_max, cfg.grid_step,
-                                             cfg.grid_sigma, cfg.levels, cfg.tol_sup)),
+           lambda cfg: series.halfplane_norm(cfg.series(), cfg.grid(), cfg.levels, cfg.tol_sup)),
     Action("series", "translate", "series", ("series.translate",), POINT, _series_translate),
     Action("series", "recover", "series", ("series.coefficient_recover",),
            (N_INDEX, _flag("--sigma", _finite, 1.0), _flag("--t-height", _finite, 1e4), GRID_STEP),
@@ -439,7 +439,7 @@ _REGISTRY = (
     Action("riesz", "sigma-u-k", "series", ("riesz.sigma_u_k_estimate",),
            (K, _flag("--xs", required=True, nargs="+"), TOL_SUP) + WINDOW,
            lambda cfg: _with_ratios(
-               riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(0.0), cfg.tol_sup))),
+               riesz.sigma_u_k_estimate(cfg.series(), cfg.k, cfg.xs, cfg.grid(), cfg.tol_sup))),
     Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
            (_flag("--k", _finite, 1.0),), _riesz_constants),
     Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
@@ -459,7 +459,7 @@ _REGISTRY = (
     Action("abscissa", "sigma-a", "series", ("bounds.sigma_a_estimate",), (),
            lambda cfg: _with_ratios(bounds.sigma_a_estimate(cfg.series()))),
     Action("abscissa", "sigma-u", "series", ("bounds.sigma_u_estimate",), WINDOW,
-           lambda cfg: _with_ratios(bounds.sigma_u_estimate(cfg.series(), cfg.grid(0.0)))),
+           lambda cfg: _with_ratios(bounds.sigma_u_estimate(cfg.series(), cfg.grid()))),
     Action("abscissa", "delta", "freq", ("bounds.delta_sequence_estimate",),
            (_flag("--count", int, 8), SEED) + WINDOW, _abscissa_delta),
     Action("perron", "eval", "series", ("perron.perron_integral",), PERRON,
@@ -620,7 +620,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 fp.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

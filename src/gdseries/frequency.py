@@ -189,7 +189,7 @@ def _interleaved(M: int, *, double_exponential: bool) -> Frequency:
             vals[pos - 1] = float(n)
         else:
             if double_exponential:
-                inner = math.exp(min(float(n * n), 709.0)) if n * n < 709 else math.inf
+                inner = math.exp(float(n * n)) if n * n < 709 else math.inf
                 eps = math.exp(-inner) if math.isfinite(inner) else 0.0
                 log_eps = -inner if math.isfinite(inner) else _LOG_FLOOR
             else:

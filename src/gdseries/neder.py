@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid, _eval_line, evaluate
+from .series import DirichletSeries, LineGrid, evaluate, line_sup_report
 
 __all__ = [
     "FejerPolynomial",
@@ -103,8 +103,6 @@ def fejer_sup(m: int) -> float:
     """Max of |F_m| over 4096 equispaced points of the unit circle (the circle
     is enough, by the maximum principle)."""
     poly = fejer_polynomial(m)
-    if m == 1:
-        return 0.0
     return float(np.max(np.abs(_circle_powers(2 * m - 1) @ poly.coeffs)))
 
 
@@ -323,8 +321,9 @@ def neder_cauchy_check(
 ) -> Tuple[float, float]:
     """(observed, bound): grid sup of |D^K - D^L| against C_obs sum b_k |I_k|.
 
-    The difference is exactly the eta terms of blocks K < k <= L; its sup on
-    the grid line is compared with the telescoped Fejer bound using the
+    The difference is exactly the eta terms of blocks K < k <= L; its max on
+    the grid's points (one unrefined round of :func:`line_sup_report`) is
+    compared with the telescoped Fejer bound using the
     observed constant from :func:`fejer_sup_max` (the classical proof has a
     finite C but no numeric value).
     """
@@ -339,6 +338,4 @@ def neder_cauchy_check(
     diff = _blocks(c, K, L)
     if diff is None:
         return 0.0, bound
-    ts = grid.points()
-    observed = float(np.max(np.abs(_eval_line(diff, grid.sigma, ts))))
-    return observed, bound
+    return line_sup_report(diff, None, grid, max_rounds=1).value, bound

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .riesz import riesz_mean
 from .series import DirichletSeries, _call_reference, _eval_points
 
 __all__ = [
@@ -202,8 +203,6 @@ def perron_vs_direct(
     budget = quad_tol + tail certificate; the contract is
     residual <= budget whenever the certificate is finite.
     """
-    from .riesz import riesz_mean
-
     res = perron_integral(D, q, f_norm=f_norm, quad_tol=quad_tol)
     direct = riesz_mean(D, q.k, q.x, 0j)
     residual = abs(res.value - direct)

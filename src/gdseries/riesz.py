@@ -35,7 +35,7 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency
-from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, _refine_lines, evaluate
+from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, _line_terms, _refine_lines, evaluate
 
 __all__ = [
     "riesz_mean",
@@ -223,7 +223,7 @@ def riesz_uniform_error(
     if trunc is None:
         rvals = np.zeros_like(fvals)
     else:
-        rvals = _eval_line(trunc, sigma, ts)
+        rvals = _eval_line(trunc, [_line_terms(trunc.freq.values, trunc.coeffs, sigma)[0]], ts)[0]
     return float(np.max(np.abs(rvals - fvals)))
 
 

@@ -33,8 +33,11 @@ columns of the block, which gives the bits of a block built over the prefix
 alone.
 
 A line (c, sigma) is a coefficient row over the first len(c) frequencies of one
-series, on Re s = sigma: a partial sum, a Riesz truncation or a sigma-level.
-Line sups refine one t-window for all their lines together (``_refine_lines``):
+series, on Re s = sigma: a partial sum, a Riesz truncation, a sigma-level or a
+difference of Neder blocks.  Its amplitudes c_n e^{-lambda_n sigma} are made
+only by ``_line_terms``, and ``_eval_line`` takes only such amplitude rows.
+Every line sup reads its t-window from a ``LineGrid``, and they refine one
+t-window for all their lines together (``_refine_lines``):
 a round builds the phase rows of its points once, over the widest line still
 refining, and each line keeps its own max, convergence test and certificate.
 Every grid sup, these and Hardy's in ``bounds``, halves its step in one loop
@@ -248,16 +251,12 @@ def _phase_sum(z: np.ndarray, lam: np.ndarray, amp, fill=_exp_block, dtype=compl
     return out
 
 
-def _eval_line(D: DirichletSeries, line, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
-    """Partial sum S_N(D)(sigma + it) at every t of ts, where ``line`` is sigma.
-
-    A list of amplitude vectors over prefixes of lambda_1..lambda_N, in place
-    of sigma, gives one row per vector from one build of the phase rows.
-    """
+def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
+    """sum_n amp_n e^{-i t lambda_n} at every t of ts, one row per amplitude
+    vector of ``amps``, each over a prefix of lambda_1..lambda_N, from one
+    build of the phase rows."""
     N = _check_N(D, N)
-    lam = D.freq.values[:N]
-    amp = line if isinstance(line, list) else D.coeffs[:N] * np.exp(-lam * line)
-    return _phase_sum(1j * ts, lam, amp)
+    return _phase_sum(1j * ts, D.freq.values[:N], amps)
 
 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
@@ -387,28 +386,25 @@ class NormReport:
 
 def halfplane_norm(
     D: DirichletSeries,
-    t_min: float = 0.0,
-    t_max: float = 100.0,
-    step: float = 0.05,
-    sigma_min: float = 1e-3,
+    grid: LineGrid = LineGrid(1e-3, 0.0, 100.0, 0.05),
     levels: int = 8,
     tol_sup: float = 1e-4,
 ) -> NormReport:
-    """Windowed sup of |D| over the sampled lines Re s = sigma_min * 2^j, t in [t_min, t_max].
+    """Windowed sup of |D| over the sampled lines Re s = grid.sigma * 2^j, over grid's t-window.
 
     Line sups of a bounded Dirichlet polynomial are nonincreasing in sigma
     (log-convexity plus decay at +inf), so the smallest sampled line
     dominates; the doubling ladder is kept as a cross-check and for reports.
-    Neither number covers the strip 0 <= Re s < sigma_min or t outside the
+    Neither number covers the strip 0 <= Re s < grid.sigma or t outside the
     window, so neither bounds ||D|| (see ``NormReport``).
     """
     if levels < 1:
         raise ValueError("need levels >= 1")
     # 2.0**j overflows from j = 1024 on
-    if levels > 1024 or not math.isfinite(sigma_min * 2.0 ** (levels - 1)):
-        raise ValueError(f"the top level sigma_min * 2^{levels - 1} is not finite")
-    sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
-    reports = _refine_lines(D, [(D.coeffs, sg) for sg in sigmas], LineGrid(sigma_min, t_min, t_max, step), tol_sup)
+    if levels > 1024 or not math.isfinite(grid.sigma * 2.0 ** (levels - 1)):
+        raise ValueError(f"the top level grid.sigma * 2^{levels - 1} is not finite")
+    sigmas = tuple(grid.sigma * 2.0**j for j in range(levels))
+    reports = _refine_lines(D, [(D.coeffs, sg) for sg in sigmas], grid, tol_sup)
     sups = tuple(rep.value for rep in reports)
     return NormReport(max(sups), max(rep.certified_upper for rep in reports), sigmas, sups)
 

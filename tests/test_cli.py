@@ -324,6 +324,11 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         # the parameter a profile regime reads, as freq check-lc and check-poly refuse it
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "lc", "--delta", "0"],
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "poly", "--d", "-1"],
+        # grids larger than the address space (728 TiB, 142 PiB, 56.8 PiB): the allocation fails at once
+        ["series", "sup", "--kind", "log", "--n", "5", "--grid-step", "1e-12", "--grid-t-max", "100"],
+        ["series", "recover", "--kind", "linear", "--n", "4", "--n-index", "2", "--grid-step", "1e-12"],
+        ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--epsilon", "0.5",
+         "--t-height", "2000", "--step", "1e-12", "--quad-tol", "0.01"],
     ]:
         _assert_exit_2(argv, capsys)
     # a mistyped tag that names no file lists the builtin tags
@@ -392,6 +397,35 @@ def test_riesz_truncate_below_the_first_frequency_is_empty(capsys):
     assert json.loads(capsys.readouterr().out) == {"empty": True, "terms": 0}
     assert run(argv + ["--format", "csv"]) == 0
     assert capsys.readouterr().out == "index,re,im\n"
+
+
+@pytest.mark.parametrize("coeffs", ["ones", "alternating", "inverse-square", "seeded-normal", "file"])
+def test_coefficient_csv_output_is_the_library_file_format(coeffs, tmp_path, capsys):
+    # --format csv renders the coefficient table itself; write_coefficients_csv
+    # writes the same format separately, and --coeffs-file reads either back
+    rng = np.random.default_rng(11)
+    source = tmp_path / "source.csv"
+    gdseries.write_coefficients_csv(source, rng.standard_normal(9) / 3.0 + 1j * rng.standard_normal(9) * 1e-5)
+    spec = str(source) if coeffs == "file" else coeffs
+    D = gdseries.series_from_descriptor({"frequency": {"kind": "log", "m": 9}, "coefficients": spec}, seed=3)
+    flags = ["--kind", "log", "--n", "9", "--seed", "3"]
+    flags += ["--coeffs-file", spec] if coeffs == "file" else ["--coeffs", spec]
+    for action, want in (
+        (["series", "coeffs"], D.coeffs),
+        (["series", "translate", "--sigma", "0.3", "--t", "1.7"], gdseries.translate(D, 0.3 + 1.7j).coeffs),
+        (["riesz", "truncate", "--k", "0.5", "--x", "1.5"], gdseries.riesz_truncation(D, 0.5, 1.5).coeffs),
+    ):
+        assert run(action + flags + ["--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        written = tmp_path / "written.csv"
+        gdseries.write_coefficients_csv(written, want)
+        assert text.encode() == written.read_bytes(), action
+        rendered = tmp_path / "rendered.csv"
+        rendered.write_text(text)
+        assert np.array_equal(gdseries.read_coefficients_csv(rendered), want)
+        back = ["series", "coeffs", "--kind", "log", "--n", str(want.size), "--coeffs-file", str(rendered)]
+        assert run(back + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_csv_format_for_two_column_tables(capsys):

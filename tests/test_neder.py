@@ -175,6 +175,25 @@ def test_cauchy_bound_dominates_observation():
     assert bound == pytest.approx(9.006491622867447, abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [0.05, 0.1, 0.25])
+def test_cauchy_observation_is_the_one_shot_grid_max(x):
+    # criterion 11's constructions, every 0 <= K <= L <= 8, on criterion 11's
+    # grid and on Re s = 0 with a step that does not divide the window (20.3 /
+    # 0.37 rounds to 55 intervals); at x = 0.25 (10,005 points) only the
+    # smaller grid, which keeps the one-shot phase matrix near 9 MB
+    c = neder_construct(base_integers(), x)
+    grids = [LineGrid(0.0, -3.0, 17.3, 0.37)] + ([LineGrid(1e-3, 0.0, 50.0, 0.05)] if x < 0.25 else [])
+    for grid in grids:
+        ts = grid.points()
+        for K in range(9):
+            for L in range(K, 9):
+                mask = (c.point_block > K) & (c.point_block <= L)
+                lam, coeffs = c.eta.values[mask], np.asarray(c.coeffs)[mask]
+                amp = coeffs * np.exp(-lam * grid.sigma)
+                want = float(np.max(np.abs(np.exp(-1j * np.outer(ts, lam)) @ amp))) if mask.any() else 0.0
+                assert neder_cauchy_check(c, K, L, grid)[0] == want, (grid, K, L)
+
+
 def test_series_view_matches_construction():
     c = neder_construct(base_integers(), 0.1)
     D = c.series()

@@ -173,7 +173,7 @@ def test_kernel_blocks_match_one_shot_expressions(monkeypatch):
     assert len({ident for _, _, ident in blocks}) >= 2
 
     phase = np.exp(-1j * np.outer(ts, lam))
-    assert np.array_equal(_eval_line(D, grid.sigma, ts), phase @ amp)
+    assert np.array_equal(_eval_line(D, [amp], ts)[0], phase @ amp)
     one_shot = np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
     assert np.array_equal(_partial_sup_profile(D, grid), one_shot)
     s = grid.sigma + 1j * ts
@@ -231,7 +231,7 @@ def test_coefficient_recover_rejects_a_step_wider_than_the_window():
 
 def test_halfplane_norm_certificate_brackets_value():
     D = geometric(10)
-    rep = halfplane_norm(D, t_min=0.0, t_max=30.0, step=0.05, levels=5)
+    rep = halfplane_norm(D, LineGrid(1e-3, 0.0, 30.0, 0.05), levels=5)
     assert rep.estimate <= rep.certified_upper
     assert rep.certified_upper <= D.abs_sum(0.0) + 1e-12
     # for positive coefficients the sup on sigma -> 0 is the value at s = 0
@@ -340,7 +340,7 @@ def _naive_line_sup(D, N, grid, tol_sup=1e-4, max_rounds=10):
     step, best, t_best, rounds, prev = grid.step, -math.inf, grid.t_min, 0, None
     while True:
         ts = grid.points(step)
-        vals = np.abs(_eval_line(D, grid.sigma, ts, N))
+        vals = np.abs(_eval_line(D, _amplitudes(D, N, (grid.sigma,)), ts, N)[0])
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, t_best = float(vals[i]), float(ts[i])
@@ -356,10 +356,10 @@ def _naive_line_sup(D, N, grid, tol_sup=1e-4, max_rounds=10):
     return SupReport(best, max(upper, best), t_best, step, rounds)
 
 
-def _naive_norm(D, t_min, t_max, step, sigma_min, levels, tol_sup):
+def _naive_norm(D, grid, levels, tol_sup):
     """One naive line sup per level, combined as halfplane_norm combines them."""
-    sigmas = tuple(sigma_min * 2.0**j for j in range(levels))
-    reps = [_naive_line_sup(D, None, LineGrid(sg, t_min, t_max, step), tol_sup) for sg in sigmas]
+    sigmas = tuple(grid.sigma * 2.0**j for j in range(levels))
+    reps = [_naive_line_sup(D, None, LineGrid(sg, grid.t_min, grid.t_max, grid.step), tol_sup) for sg in sigmas]
     estimate = max(r.value for r in reps)
     upper = max(min(max(r.certified_upper for r in reps), D.abs_sum(0.0)), estimate)
     return NormReport(estimate, upper, sigmas, tuple(r.value for r in reps)), reps
@@ -371,9 +371,9 @@ def rows_built(monkeypatch):
     count = [0]
     inner = series_module._eval_line
 
-    def counting(D, line, ts, N=None):
+    def counting(D, amps, ts, N=None):
         count[0] += ts.size
-        return inner(D, line, ts, N)
+        return inner(D, amps, ts, N)
 
     monkeypatch.setattr(series_module, "_eval_line", counting)
     return count
@@ -421,12 +421,11 @@ def test_line_sup_report_is_bit_identical_to_full_grid_rounds(M, N, window, max_
 
 def test_halfplane_norm_is_bit_identical_with_levels_stopping_in_different_rounds(rows_built):
     D = _seeded("log", 60, 3)
-    args = (-3.0, 17.3, 0.09, 1e-3, 6, 1e-7)
-    want, reps = _naive_norm(D, *args)
+    grid = LineGrid(1e-3, -3.0, 17.3, 0.09)
+    want, reps = _naive_norm(D, grid, 6, 1e-7)
     assert len({r.rounds for r in reps}) > 1
     rows_built[0] = 0
-    assert halfplane_norm(D, *args) == want
-    grid = LineGrid(1e-3, *args[:3])
+    assert halfplane_norm(D, grid, 6, 1e-7) == want
     assert rows_built[0] == _fresh_rows(grid, max(r.rounds for r in reps))
 
 
@@ -440,7 +439,7 @@ def test_eval_line_gives_one_row_per_sigma():
     rows = _eval_line(D, _amplitudes(D, 30, (0.0, 0.25, 1.0)), ts, 30)
     assert rows.shape == (3, ts.size)
     for row, sigma in zip(rows, (0.0, 0.25, 1.0)):
-        assert np.array_equal(row, _eval_line(D, sigma, ts, 30))
+        assert np.array_equal(row, _eval_line(D, _amplitudes(D, 30, (sigma,)), ts, 30)[0])
 
 
 def test_phase_sum_of_one_amplitude_owns_its_output():
@@ -521,9 +520,9 @@ def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
     widths = []
     inner = series_module._eval_line
 
-    def recording(D, line, ts, N=None):
+    def recording(D, amps, ts, N=None):
         widths.append(N)
-        return inner(D, line, ts, N)
+        return inner(D, amps, ts, N)
 
     monkeypatch.setattr(series_module, "_eval_line", recording)
     D = _seeded("log", 40, 3)
@@ -583,12 +582,12 @@ def test_results_do_not_depend_on_the_worker_count(striped, workers, monkeypatch
 
     def results():
         return [
-            _eval_line(D, grid.sigma, ts),
+            _eval_line(D, _amplitudes(D, D.M, (grid.sigma,)), ts),
             _eval_line(D, _amplitudes(D, 300, (0.0, grid.sigma, 1.0)), ts, 300),
             _eval_points(D, grid.sigma + 1j * ts),
             _partial_sup_profile(D, grid),
             line_sup_report(D, None, grid),
-            halfplane_norm(D, 0.0, 69.9, 0.05),
+            halfplane_norm(D, LineGrid(1e-3, 0.0, 69.9, 0.05)),
         ]
 
     monkeypatch.setattr(series_module, "_WORKERS", 1)
@@ -628,10 +627,10 @@ def test_one_block_starts_no_thread(monkeypatch):
     monkeypatch.setattr(series_module, "_WORKERS", 2)
     D = _seeded("log", 20, 6)
     ts = LineGrid(0.0, 0.0, 100.0, 0.05).points()
-    _eval_line(D, 0.0, ts)
+    _eval_line(D, [D.coeffs], ts)
     assert started == []
     # a grid of two blocks does start the second worker
-    _eval_line(D, 0.0, np.concatenate([ts, ts, ts]))
+    _eval_line(D, [D.coeffs], np.concatenate([ts, ts, ts]))
     assert len(started) == 1
 
 
