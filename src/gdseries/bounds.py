@@ -14,13 +14,13 @@ O(1) by design.
 
 Estimators for the convergence, absolute-convergence and uniform abscissas
 share one windowed-limsup rule (see ``estimates``); each feeds it the ratio
-sequence appropriate to its abscissa.
+sequence appropriate to its abscissa; sigma_u and Delta fold their partial sums
+by ``series._partial_sup_profile``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid, _phase_blocks, _phase_sum, _refine_max
+from .series import DirichletSeries, LineGrid, _partial_sup_profile, _phase_sum, _refine_max
 
 __all__ = [
     "SnBound",
@@ -290,49 +290,6 @@ def sigma_a_estimate(D: DirichletSeries) -> AbscissaEstimate:
     return windowed_limsup("sigma_a", _log_ratios(D.freq.values, mags))
 
 
-def _partial_sup_profile(
-    D: DirichletSeries, grid: LineGrid, coeffs: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Grid sup of |S_N(sigma + it)| for every N at once.
-
-    One pass over the grid with a cumulative sum along the coefficient axis;
-    entry N-1 is the sup for the length-N partial sum.  ``coeffs``, a 2-D
-    stack of coefficient vectors over D's frequency, takes the place of
-    D.coeffs: the result has one row of sups per vector, from one build of
-    each phase block.
-
-    The products, their cumulative sum and its moduli are built in place, by
-    the same ufunc loops and in the same order as
-    ``np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)``.  Per worker this
-    holds the phase block plus one float block of moduli; a single vector
-    folds in the phase block itself, while a stack, whose members all read
-    the same block, adds one complex block per worker.
-    """
-    lam = D.freq.values
-    amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * np.exp(-lam * grid.sigma)
-    sups = np.zeros(amps.shape)
-    lock = threading.Lock()
-    local = threading.local()
-
-    def fold(_, phase):
-        rows = phase.shape[0]
-        if len(getattr(local, "mag", ())) < rows:
-            local.mag = np.empty(phase.shape)
-            local.part = None if coeffs is None else np.empty_like(phase)
-        mag = local.mag[:rows]
-        part = phase if coeffs is None else local.part[:rows]
-        for amp, sup in zip(amps, sups):
-            np.multiply(phase, amp, out=part)
-            np.cumsum(part, axis=1, out=part)
-            colmax = np.abs(part, out=mag).max(axis=0)
-            # a column max is exact and order-free, so blocks may fold in any order
-            with lock:
-                np.maximum(sup, colmax, out=sup)
-
-    _phase_blocks(1j * grid.points(), lam, fold)
-    return sups[0] if coeffs is None else sups
-
-
 def sigma_u_estimate(D: DirichletSeries, grid: LineGrid) -> AbscissaEstimate:
     """Windowed limsup of log sup_t |S_N(it)| / lambda_N (uniform).
 
@@ -400,7 +357,7 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
         w[off] = 0.0
 
     def weigh(xs, _live):
-        return np.abs(_phase_sum(xs, lam, D.coeffs, weights, float))[None]
+        return [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights, float)]
 
     grid = LineGrid(0.0, 0.0, lam_next, lam_next / (_HARDY_POINTS - 1))
     ((sup, *_),) = _refine_max(weigh, 1, grid, _HARDY_TOL, _HARDY_ROUNDS)

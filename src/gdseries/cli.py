@@ -147,7 +147,7 @@ class RunConfig(argparse.Namespace):
         given = {**flags, "--freq-file": self.freq_file, "--coeffs": self.coeffs,
                  "--coeffs-file": self.coeffs_file}
         path = _either("--descriptor", self.descriptor, given, None)
-        return json.loads(path.read_text()) if path else {"frequency": freq, "coefficients": coeffs}
+        return series._read_descriptor(path) if path else {"frequency": freq, "coefficients": coeffs}
 
     def frequency(self) -> Frequency:
         return series._frequency_from(self.source()["frequency"])

@@ -245,9 +245,9 @@ def make_frequency(kind: str, M: int, params: Optional[Sequence[float]] = None) 
 
 
 def read_frequency_file(path) -> Frequency:
-    """Ingest a custom frequency: one decimal per line, '#' comments allowed."""
+    """Ingest a custom frequency: one decimal per line, '#' comments and a byte-order mark allowed."""
     values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -27,7 +27,6 @@ every quadrature here calls it through that name, so a wrapper that rebinds
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Optional, Sequence
 
@@ -35,7 +34,9 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency
-from .series import DirichletSeries, LineGrid, _call_reference, _eval_line, _line_terms, _refine_lines, evaluate
+from .series import (
+    DirichletSeries, LineGrid, _call_reference, _eval_line, _line_terms, _ordered_sum, _refine_lines, evaluate
+)
 
 __all__ = [
     "riesz_mean",
@@ -103,12 +104,7 @@ def typical_mean_A(D: DirichletSeries, k: float, w: complex, x: float) -> comple
     # an overflow is rejected below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         terms = D.coeffs[mask] * np.exp(-complex(w) * lamm) * np.power(x - lamm, k)
-    total = 0j
-    for t in terms:
-        total += t
-    if not cmath.isfinite(total):
-        raise ValueError(f"A_w^k(x) is not finite at w = {complex(w)}, x = {x}")
-    return complex(total)
+    return _ordered_sum(terms, f"A_w^k(x) is not finite at w = {complex(w)}, x = {x}")
 
 
 def check_abel_integral(D: DirichletSeries, k: float, x: float) -> float:

@@ -27,19 +27,23 @@ calling thread is worker 0.  numpy releases the interpreter lock inside
 block is built by the same ufunc loops as ``np.exp(-np.outer(z, lambda))``,
 and each value is one GEMV row of a block of at least two rows (a one-row
 block is doubled), so no value depends on the block it falls in or the worker
-that built it.  Several amplitude vectors share one phase row.  Each is over
-a prefix lambda_1..lambda_m of one frequency and runs its GEMV on the first m
-columns of the block, which gives the bits of a block built over the prefix
-alone.
+that built it.  ``_phase_sum`` gives one owned row per amplitude vector of
+its list.  The vectors share each phase row, and one over a prefix
+lambda_1..lambda_m runs its GEMV on the block's first m columns, which gives
+the bits of a block built over the prefix alone.  The partial-sum fold
+``_partial_sup_profile`` folds the same blocks in place into the grid sup of
+|S_N| for every N, which the sigma_u and Delta estimators of ``bounds`` read.
+No other module builds phase blocks, starts kernel threads or weights
+coefficients by e^{-lambda sigma} for a line sup.
 
 A line (c, sigma) is a coefficient row over the first len(c) frequencies of one
 series, on Re s = sigma: a partial sum, a Riesz truncation, a sigma-level or a
 difference of Neder blocks.  Its amplitudes c_n e^{-lambda_n sigma} are made
 only by ``_line_terms``, and ``_eval_line`` takes only such amplitude rows.
 Every line sup reads its t-window from a ``LineGrid``, and they refine one
-t-window for all their lines together (``_refine_lines``):
-a round builds the phase rows of its points once, over the widest line still
-refining, and each line keeps its own max, convergence test and certificate.
+t-window for all their lines together (``_refine_lines``): a round builds the
+phase rows of its points once, over the widest line still refining, and each
+line keeps its own max, convergence test and certificate.
 Every grid sup, these and Hardy's in ``bounds``, halves its step in one loop
 (``_refine_max``), which evaluates each point once: a round evaluates only
 the points the previous round lacked when its grid is a true refinement,
@@ -169,11 +173,16 @@ def evaluate(D: DirichletSeries, s: complex, N: Optional[int] = None) -> complex
     # an overflow is rejected below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         terms = D.coeffs[:N] * np.exp(-D.freq.values[:N] * complex(s))
+    return _ordered_sum(terms, f"S_N(s) is not finite at s = {complex(s)}")
+
+
+def _ordered_sum(terms: np.ndarray, message: str) -> complex:
+    """The sum of terms in index order; ValueError(message) if it is not finite."""
     total = 0j
     for t in terms:
         total += t
     if not cmath.isfinite(total):
-        raise ValueError(f"S_N(s) is not finite at s = {complex(s)}")
+        raise ValueError(message)
     return complex(total)
 
 
@@ -222,36 +231,67 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_bloc
         raise errors[0]
 
 
-def _phase_sum(z: np.ndarray, lam: np.ndarray, amp, fill=_exp_block, dtype=complex) -> np.ndarray:
-    """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z.
+def _phase_sum(z: np.ndarray, lam: np.ndarray, amps: list, fill=_exp_block, dtype=complex) -> list:
+    """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z, one row
+    per amplitude vector of ``amps``, each over a prefix lam[:m] of lam.
 
-    ``amp`` is one amplitude vector over lam, or a list of vectors, each over a
-    prefix lam[:m] of lam, that share each phase block; a list gives one row
-    per vector.  A vector over a prefix runs its GEMV on the block's first m
-    columns, which gives the bits of a block built over lam[:m] alone.
-    ``fill`` and ``dtype`` replace the phase block as in ``_phase_blocks``.
+    Each row owns its data: Perron's integrand multiplies an owned temporary
+    in place, and a view would change the bits of ``perron eval``.  ``fill``
+    and ``dtype`` replace the phase block as in ``_phase_blocks``.
     """
-    single = not isinstance(amp, list)
-    amps = [amp] if single else amp
-    # one vector gives an array that owns its data, not the view out[0] of a
-    # (1, n) array: numpy multiplies an owned temporary in place, as in perron's
-    # integrand, and a view there changes the bits of ``perron eval``
-    out = np.empty(z.size if single else (len(amps), z.size), dtype=complex)
-    rows_out = [out] if single else out
+    out = [np.empty(z.size, dtype=complex) for _ in amps]
 
     def gemv(lo: int, phase: np.ndarray) -> None:
         rows = phase.shape[0]
         if rows == 1:
             # numpy sums a one-row product as a dot, in another order than GEMV
             phase = np.repeat(phase, 2, axis=0)
-        for row, a in zip(rows_out, amps):
+        for row, a in zip(out, amps):
             row[lo : lo + rows] = (phase[:, : a.size] @ a)[:rows]
 
     _phase_blocks(z, lam, gemv, fill, dtype)
     return out
 
 
-def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] = None) -> np.ndarray:
+def _partial_sup_profile(
+    D: DirichletSeries, grid: LineGrid, coeffs: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Grid sup of |S_N(sigma + it)| for every N at once.
+
+    One pass over the grid with a cumulative sum along the coefficient axis;
+    entry N-1 is the sup for the length-N partial sum.  ``coeffs``, a 2-D
+    stack of coefficient vectors over D's frequency, takes the place of
+    D.coeffs: the result has one row of sups per vector, from one build of
+    each phase block.
+
+    The products, their cumulative sum and its moduli are built in place, by
+    the same ufunc loops and in the same order as
+    ``np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)``.  Per worker this
+    holds the phase block plus one float block of moduli, taken afresh for
+    each block; a single vector folds in the phase block itself, while a
+    stack, whose members all read the same block, adds one complex block.
+    """
+    lam = D.freq.values
+    amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * np.exp(-lam * grid.sigma)
+    sups = np.zeros(amps.shape)
+    lock = threading.Lock()
+
+    def fold(_, phase):
+        mag = np.empty(phase.shape)
+        part = phase if coeffs is None else np.empty_like(phase)
+        for amp, sup in zip(amps, sups):
+            np.multiply(phase, amp, out=part)
+            np.cumsum(part, axis=1, out=part)
+            colmax = np.abs(part, out=mag).max(axis=0)
+            # a column max is exact and order-free, so blocks may fold in any order
+            with lock:
+                np.maximum(sup, colmax, out=sup)
+
+    _phase_blocks(1j * grid.points(), lam, fold)
+    return sups[0] if coeffs is None else sups
+
+
+def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] = None) -> list:
     """sum_n amp_n e^{-i t lambda_n} at every t of ts, one row per amplitude
     vector of ``amps``, each over a prefix of lambda_1..lambda_N, from one
     build of the phase rows."""
@@ -262,7 +302,7 @@ def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
     """The full sum D(s) at a scalar s, or at every point of a 1-D array s."""
     z = np.asarray(s, dtype=complex)
-    out = _phase_sum(z.ravel(), D.freq.values, D.coeffs)
+    (out,) = _phase_sum(z.ravel(), D.freq.values, [D.coeffs])
     return complex(out[0]) if z.ndim == 0 else out
 
 
@@ -341,7 +381,7 @@ def _refine_lines(
 
     def rows(ts, live):
         amps = [terms[j][0] for j in live]
-        return np.abs(_eval_line(D, amps, ts, max(a.size for a in amps)))
+        return [np.abs(row) for row in _eval_line(D, amps, ts, max(a.size for a in amps))]
 
     results = _refine_max(rows, len(terms), grid, tol_sup, max_rounds)
     # the cap and the grid max can coincide up to summation order; the
@@ -555,6 +595,11 @@ def _frequency_from(spec, m: Optional[int] = None) -> Frequency:
     return make_frequency(spec["kind"], m, params)
 
 
+def _read_descriptor(path):
+    """The JSON value in a descriptor file (UTF-8; a byte-order mark is allowed)."""
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+
+
 def series_from_descriptor(
     descriptor: Union[dict, str, Path],
     seed: Optional[int] = None,
@@ -571,7 +616,7 @@ def series_from_descriptor(
     file.  Each part has exactly one source, here as on the command line.
     """
     if isinstance(descriptor, (str, Path)):
-        descriptor = json.loads(Path(descriptor).read_text())
+        descriptor = _read_descriptor(descriptor)
     shaped = isinstance(descriptor, dict) and set(descriptor) == {"frequency", "coefficients"}
     if not shaped or not isinstance(descriptor["coefficients"], (str, Path)):
         raise ValueError("a descriptor is {'frequency': ..., 'coefficients': <tag or path>} and nothing else")

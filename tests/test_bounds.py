@@ -394,7 +394,7 @@ def test_delta_family_shares_each_phase_block(monkeypatch):
         pairs.append((j, max(ratios[-math.ceil(len(ratios) / 3):])))
 
     built = []
-    inner = bounds_module._phase_blocks
+    inner = series_module._phase_blocks
 
     def counting(z, lam, work):
         def counted(lo, phase):
@@ -403,7 +403,7 @@ def test_delta_family_shares_each_phase_block(monkeypatch):
 
         inner(z, lam, counted)
 
-    monkeypatch.setattr(bounds_module, "_phase_blocks", counting)
+    monkeypatch.setattr(series_module, "_phase_blocks", counting)
     stacked = _partial_sup_profile(family[0], grid, np.array([D.coeffs for D in family]))
     for row, sups in zip(stacked, members):
         assert np.array_equal(row, sups)

@@ -20,6 +20,7 @@ import gdseries
 from gdseries.cli import ACTIONS, HANDLERS, RunConfig, _jsonable, build_parser, run
 from gdseries.neder import DivergenceRow
 from gdseries.perron import PerronComparison, PerronResult
+from gdseries.series import series_from_descriptor
 
 # one fast, known-good invocation per (command, action)
 ARGV = {
@@ -376,6 +377,24 @@ def test_each_source_alone_is_read(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["values"] == [1.0, 3.0]
 
 
+def test_every_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    files = _source_files(tmp_path)
+    freq_file, _, descriptor = files
+    argvs = (["freq", "make", "--freq-file", freq_file], ["series", "coeffs", "--descriptor", descriptor],
+             ["series", "sup", "--descriptor", descriptor])
+    plain = []
+    for argv in argvs:
+        assert run(argv) == 0
+        plain.append(capsys.readouterr().out)
+    want = series_from_descriptor(descriptor).coeffs
+    for name in files:
+        Path(name).write_text("\ufeff" + Path(name).read_text(), encoding="utf-8")
+    for argv, out in zip(argvs, plain):
+        assert run(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == out
+    assert np.array_equal(series_from_descriptor(descriptor).coeffs, want)
+
+
 def test_profile_range_flags_resolve_against_the_refined_frequency(capsys):
     # gaps of 3 are refined to 7 points, so the profile runs over N = 2..6
     argv = ["bound", "profile", "--kind", "custom-from-list", "--n", "3",
@@ -533,9 +552,10 @@ def _frequency_files(draw):
     if draw(st.booleans()):
         values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from([math.nan, values[0]])))
     lines = [f"{v!r}" + draw(st.sampled_from(["", " # note", "\n", "\n# comment"])) for v in values]
+    bom = "\ufeff" if draw(st.booleans()) else ""
     ok = values[0] >= 0 and all(a < b for a, b in zip(values, values[1:]))  # False on NaN
     want = {"M": len(values), "values": values} if ok else None
-    return ["freq", "make", "--freq-file", "f.txt"], {"f.txt": "\n".join(lines) + "\n"}, want
+    return ["freq", "make", "--freq-file", "f.txt"], {"f.txt": bom + "\n".join(lines) + "\n"}, want
 
 
 def _descriptor_length(desc, rows: int):
@@ -604,10 +624,12 @@ def _descriptors(draw):
 @given(cases=st.tuples(_descriptors(), _coefficient_files(), _frequency_files()))
 @example(cases=[(["freq", "make", "--kind", "interleave-expexp2", "--n", str(n)], {}, {"M": n})
                 for n in (1, 2, 10**5)])
-# the derandomized draws hold no "bom" fault
+# the derandomized draws may hold no byte-order mark
 @example(cases=[(["series", "coeffs", "--kind", "linear", "--n", "2", "--coeffs-file", "c.csv"],
                  {"c.csv": "\ufeffindex,re,im\n1,1.5,0.0\n2,-2.0,0.25\n"},
-                 {"M": 2, "coefficientsHead": [[1.5, 0.0], [-2.0, 0.25]], "tag": "c.csv"})])
+                 {"M": 2, "coefficientsHead": [[1.5, 0.0], [-2.0, 0.25]], "tag": "c.csv"}),
+                (["freq", "make", "--freq-file", "f.txt"], {"f.txt": "\ufeff0.0\n0.5\n1.0\n"},
+                 {"M": 3, "values": [0.0, 0.5, 1.0]})])
 def test_input_layer_fuzz(cases, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv, files, want in cases:

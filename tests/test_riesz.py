@@ -182,9 +182,8 @@ def test_uniform_error_needs_a_reference():
         riesz_uniform_error(D, 1.0, 0.5, 4.0, LineGrid(0.5, 0.0, 6.3, 0.01))
 
 
-def _criterion_5_series():
-    """Ones on lambda_n = n - 1, n <= 128, with f = 1/(1 - e^{-s}), and its grid on Re s = 1/2."""
-    M = 128
+def _criterion_5_series(M=128):
+    """Ones on lambda_n = n - 1, n <= M, with f = 1/(1 - e^{-s}), and its grid on Re s = 1/2."""
     D = DirichletSeries(
         make_frequency("linear", M),
         np.ones(M, dtype=complex),
@@ -206,6 +205,21 @@ def test_uniform_error_follows_the_derivative_law(x):
     D, grid = _criterion_5_series()
     law = math.exp(-0.5) / (1.0 - math.exp(-0.5)) ** 2
     assert x * riesz_uniform_error(D, 1.0, 0.5, x, grid) == pytest.approx(law, rel=1e-8)
+
+
+@pytest.mark.parametrize("k, side", [(0.5, 1), (2.0, -1)])
+def test_uniform_error_of_order_k_tends_to_k_times_the_derivative_law(k, side):
+    # (1 - n/x)^k = 1 - k n/x + O((n/x)^2), so x err / k tends to sup |f'| on
+    # Re s = 1/2, from above for k < 1 and from below for k > 1, with a gap of
+    # order 1/x; M = 1024 keeps every x <= 640 clear of the truncation
+    D, grid = _criterion_5_series(1024)
+    law = math.exp(-0.5) / (1.0 - math.exp(-0.5)) ** 2
+    xs = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
+    gaps = [side * (x * riesz_uniform_error(D, k, 0.5, x, grid) / k - law) for x in xs]
+    assert all(gap > 0 for gap in gaps)
+    for gap, nxt in zip(gaps, gaps[1:]):
+        assert nxt < gap
+        assert nxt <= 0.51 * gap
 
 
 def test_uniform_error_of_an_empty_truncation_is_the_sup_of_f():

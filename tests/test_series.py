@@ -437,17 +437,21 @@ def test_eval_line_gives_one_row_per_sigma():
     D = _seeded("logprimes", 50, 1)
     ts = LineGrid(0.0, 0.0, 10.0, 0.1).points()
     rows = _eval_line(D, _amplitudes(D, 30, (0.0, 0.25, 1.0)), ts, 30)
-    assert rows.shape == (3, ts.size)
+    assert len(rows) == 3
+    assert all(len(row) == ts.size for row in rows)
     for row, sigma in zip(rows, (0.0, 0.25, 1.0)):
         assert np.array_equal(row, _eval_line(D, _amplitudes(D, 30, (sigma,)), ts, 30)[0])
 
 
-def test_phase_sum_of_one_amplitude_owns_its_output():
+def test_phase_sum_rows_own_their_output():
     D = _seeded("log", 30, 2)
     z = 1j * LineGrid(0.0, 0.0, 10.0, 0.1).points()
-    out = _phase_sum(z, D.freq.values, D.coeffs)
-    assert out.ndim == 1
-    assert out.flags.owndata
+    for amps in ([D.coeffs], [D.coeffs, D.coeffs[:10], -D.coeffs]):
+        out = _phase_sum(z, D.freq.values, amps)
+        assert len(out) == len(amps)
+        for row in out:
+            assert row.ndim == 1
+            assert row.flags.owndata
 
 
 def test_halfplane_norm_builds_each_phase_row_once(rows_built):
