@@ -9,6 +9,12 @@ over whole blocks telescope into uniformly bounded Fejer evaluations (the
 Cauchy side), while the first half of each group contributes at least
 e^(-x)/4 to the partial sums at s = 0 (the divergence side).
 
+The uniform Fejer constant is classical.  On the circle
+F_m(e^(i theta)) = -2i e^(i m theta) sum_{j<m} sin(j theta)/j, and the partial
+sums of sum sin(j theta)/j are bounded by Si(pi), their Gibbs peak near
+theta = pi/m tending to it, so sup_m |F_m| = 2 Si(pi) = 3.703874.  The
+observed constant ``fejer_sup_max`` (m <= 64) is 3.654659, below it.
+
 The double exponential in r explodes immediately, so construction takes a
 total point budget and an optional per-point cap; capped groups are flagged
 and exempted from the divergence contract, whose proof needs the full r.
@@ -319,13 +325,16 @@ def neder_cauchy_check(
     L: int,
     grid: LineGrid,
 ) -> Tuple[float, float]:
-    """(observed, bound): grid sup of |D^K - D^L| against C_obs sum b_k |I_k|.
+    """(observed, bound): grid sup of |D^K - D^L| against C_obs sum_{K<=k<=L} b_k |I_k|.
 
     The difference is exactly the eta terms of blocks K < k <= L; its max on
     the grid's points (one unrefined round of :func:`line_sup_report`) is
-    compared with the telescoped Fejer bound using the
-    observed constant from :func:`fejer_sup_max` (the classical proof has a
-    finite C but no numeric value).
+    compared with a Fejer bound that uses the observed constant
+    C_obs = :func:`fejer_sup_max` = 3.654659 and sums the blocks
+    K <= k <= L, one block more than the difference holds.  Neither matches
+    the telescoped bound 2 Si(pi) sum_{K<k<=L} b_k |I_k| (see the module
+    docstring): C_obs lies below 2 Si(pi) = 3.703874, and the extra block K
+    makes up for it.
     """
     ks = sorted(c.block_sizes)
     if not K <= L:

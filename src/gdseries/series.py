@@ -17,22 +17,28 @@ sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^18 entries (4 MiB), whatever M is.  Hardy's weight rows
-sum_n a_n (x - lambda_n)_+^k in ``bounds`` run through the same blocks, with a
-builder that fills the weights into a float buffer.  The blocks of one call
-are striped over ``_WORKERS`` threads, one per core the process may run on (at
-most 8): worker w builds blocks w, w + W, ... in one reused buffer, and the
-calling thread is worker 0.  numpy releases the interpreter lock inside
-``exp`` and the GEMV, so the workers run in parallel.  This is bit-safe: a
-block is built by the same ufunc loops as ``np.exp(-np.outer(z, lambda))``,
-and each value is one GEMV row of a block of at least two rows (a one-row
-block is doubled), so no value depends on the block it falls in or the worker
-that built it.  ``_phase_sum`` gives one owned row per amplitude vector of
-its list.  The vectors share each phase row, and one over a prefix
-lambda_1..lambda_m runs its GEMV on the block's first m columns, which gives
-the bits of a block built over the prefix alone.  The partial-sum fold
-``_partial_sup_profile`` folds the same blocks in place into the grid sup of
-|S_N| for every N, which the sigma_u and Delta estimators of ``bounds`` read.
+4096 points and 2^18 entries (4 MiB), whatever M is.  On a line, z = i t for
+real t, ``_line_block`` fills a block in place with cos(t lambda) and
+-sin(t lambda): the bits the complex exp gives at z = 1j * t, at about three
+quarters of its cost.  General points (Perron, coefficient recovery, the self
+reference) keep the complex exp of ``_exp_block``: split the same way, its
+real part would run numpy's vectorized float exp, whose bits differ from the
+complex exp's.  Hardy's weight rows sum_n a_n (x - lambda_n)_+^k in
+``bounds`` run through the same blocks, with a builder that fills the weights
+into a float buffer.  The blocks of one call are striped over ``_WORKERS``
+threads, one per core the process may run on (at most 8): worker w builds
+blocks w, w + W, ... in one reused buffer, and the calling thread is worker 0.
+numpy releases the interpreter lock inside its ufuncs and the GEMV, so the
+workers run in parallel.  This is bit-safe: a block is built by the same
+ufunc loops whatever its rows, and each value is one GEMV row of a block of at
+least two rows (a one-row block is doubled), so no value depends on the block
+it falls in or the worker that built it.  ``_phase_sum`` gives one owned row
+per amplitude vector of its list.  The vectors share each phase row, and one
+over a prefix lambda_1..lambda_m runs its GEMV on the block's first m columns,
+which gives the bits of a block built over the prefix alone.  The partial-sum
+fold ``_partial_sup_profile`` folds the same blocks in place into the grid sup
+of |S_N| for every N, which the sigma_u and Delta estimators of ``bounds``
+read.
 No other module builds phase blocks, starts kernel threads or weights
 coefficients by e^{-lambda sigma} for a line sup.
 
@@ -193,6 +199,16 @@ def _exp_block(z: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
     np.exp(phase, out=phase)
 
 
+def _line_block(t: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
+    """Fill phase with exp(-i outer(t, lam)) for real t: cos and -sin in place.
+
+    On Re z = 0 these are the bits of ``_exp_block`` at z = 1j * t, whose
+    complex ``exp`` takes cos and sin of the same products."""
+    np.multiply.outer(-t, lam, out=phase.imag)
+    np.cos(phase.imag, out=phase.real)
+    np.sin(phase.imag, out=phase.imag)
+
+
 def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block, dtype=complex) -> None:
     """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
 
@@ -287,7 +303,7 @@ def _partial_sup_profile(
             with lock:
                 np.maximum(sup, colmax, out=sup)
 
-    _phase_blocks(1j * grid.points(), lam, fold)
+    _phase_blocks(grid.points(), lam, fold, _line_block)
     return sups[0] if coeffs is None else sups
 
 
@@ -296,7 +312,7 @@ def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] 
     vector of ``amps``, each over a prefix of lambda_1..lambda_N, from one
     build of the phase rows."""
     N = _check_N(D, N)
-    return _phase_sum(1j * ts, D.freq.values[:N], amps)
+    return _phase_sum(ts, D.freq.values[:N], amps, _line_block)
 
 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:

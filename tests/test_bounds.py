@@ -118,6 +118,23 @@ def test_profile_lc_linear_is_flat():
     assert ratios[-1] == pytest.approx(3.0 * math.e / math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize(("regime", "kind", "params", "c"), [
+    ("poly", "sqrtlog", {"d": 2.0}, 2.0),
+    ("bc", "log", {}, 1.0),
+])
+def test_profile_ratio_follows_the_gamma_law(regime, kind, params, c):
+    # with k = 1/log N and lambda_{N+1}/gap_N = c N log N (1 + O(1/N)) the row
+    # 3 (e/pi) Gamma(1+k) (lambda_{N+1}/gap_N)^k over the envelope N is the law
+    # below, which tends to 3e^2/pi like log log N / log N: criterion 12's drift
+    M = 10_000
+    prof = theorem_bound_profile(make_frequency(kind, M), regime, params, Ns=[2500, 5000, 9999])
+    assert [row.N for row in prof.rows] == [2500, 5000, 9999]
+    for row in prof.rows:
+        log_n = math.log(row.N)
+        law = 3.0 * math.e**2 / math.pi * math.gamma(1.0 + 1.0 / log_n) * (c * log_n) ** (1.0 / log_n)
+        assert row.ratio == pytest.approx(law, rel=1e-4)
+
+
 def test_profile_refines_coarse_frequencies():
     freq = Frequency(np.array([0.0, 5.0, 10.0, 30.0]))
     prof = theorem_bound_profile(freq, "bc", {}, Ns=[2])
@@ -396,12 +413,12 @@ def test_delta_family_shares_each_phase_block(monkeypatch):
     built = []
     inner = series_module._phase_blocks
 
-    def counting(z, lam, work):
+    def counting(z, lam, work, *rest):
         def counted(lo, phase):
             built.append(lo)
             work(lo, phase)
 
-        inner(z, lam, counted)
+        inner(z, lam, counted, *rest)
 
     monkeypatch.setattr(series_module, "_phase_blocks", counting)
     stacked = _partial_sup_profile(family[0], grid, np.array([D.coeffs for D in family]))

@@ -39,6 +39,7 @@ from gdseries.series import (
     SupReport,
     _eval_line,
     _eval_points,
+    _line_block,
     _phase_blocks,
     _phase_sum,
     _refine_lines,
@@ -452,6 +453,58 @@ def test_phase_sum_rows_own_their_output():
         for row in out:
             assert row.ndim == 1
             assert row.flags.owndata
+
+
+def _complex_exp_line_block(t, lam, phase):
+    """The line block as the complex exp at z = 1j * t builds it."""
+    series_module._exp_block(1j * t, lam, phase)
+
+
+@pytest.mark.parametrize("kind", ["linear", "log", "logprimes"])
+def test_line_block_keeps_the_bits_of_the_complex_exp(kind):
+    # linear and log start at lambda_1 = 0; the windows hold t < 0 and t = 0,
+    # and the last reaches |t lambda| = 1e6
+    M = 500
+    lam = make_frequency(kind, M).values
+    rng = np.random.default_rng(21)
+    amps = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (M, 37, 1)]
+    rows = _BLOCK_ENTRIES // M
+    reach = 1e6 / lam[-1]
+    windows = [
+        np.array([0.0]),
+        np.array([-2.5]),
+        # a full block and one of one row, with t = 0 at its middle point
+        LineGrid(0.0, -50.0, 50.0, 100.0 / rows).points(),
+        LineGrid(0.0, -reach, reach, reach / 500).points(),
+    ]
+    assert windows[2].size == rows + 1 and 0.0 in windows[2]
+    for ts in windows:
+        got = _phase_sum(ts, lam, amps, _line_block)
+        want = _phase_sum(1j * ts, lam, amps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["linear", "log", "logprimes"])
+def test_line_paths_keep_the_bits_of_the_complex_exp(kind, monkeypatch):
+    D = _seeded(kind, 300, 17)
+    stack = np.array([D.coeffs, -2.0 * D.coeffs, D.coeffs[::-1]])
+    grid = LineGrid(0.1, -30.0, 20.0, 0.05)
+    ref = with_self_reference(D)
+
+    def results():
+        return [
+            line_sup_report(D, None, grid),
+            line_sup_report(D, 200, grid),
+            halfplane_norm(D, LineGrid(1e-3, -30.0, 20.0, 0.05), levels=3),
+            _partial_sup_profile(D, grid).tolist(),
+            _partial_sup_profile(D, grid, stack).tolist(),
+            riesz_uniform_error(ref, 1.0, 0.5, float(D.freq.values[40]), grid),
+        ]
+
+    got = results()
+    monkeypatch.setattr(series_module, "_line_block", _complex_exp_line_block)
+    assert got == results()
 
 
 def test_halfplane_norm_builds_each_phase_row_once(rows_built):
