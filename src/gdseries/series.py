@@ -17,7 +17,8 @@ sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^18 entries (4 MiB), whatever M is.  On a line, z = i t for
+4096 points and 2^16 entries (1 MiB, one core's L2 cache), but never fewer than
+two points (``_block_rows``).  On a line, z = i t for
 real t, ``_line_block`` fills a block in place with cos(t lambda) and
 -sin(t lambda): the bits the complex exp gives at z = 1j * t, at about three
 quarters of its cost.  General points (Perron, coefficient recovery, the self
@@ -95,8 +96,9 @@ __all__ = [
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _BLOCK_POINTS = 4096
-_BLOCK_ENTRIES = 1 << 18
-# at most 8 blocks in flight keeps the phase memory within 32 MiB
+# 1 MiB of complex phases, plus a 0.5 MiB block of moduli in the fold, fits a core's L2
+_BLOCK_ENTRIES = 1 << 16
+# at most 8 blocks in flight keeps the phase memory within 8 MiB
 _WORKERS = min(
     8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -209,6 +211,12 @@ def _line_block(t: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
     np.sin(phase.imag, out=phase.imag)
 
 
+def _block_rows(m: int) -> int:
+    """Rows of a phase block over m frequencies: at least two, so that a wide
+    series is not summed on the one-row path, which doubles its block."""
+    return max(2, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, m)))
+
+
 def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block, dtype=complex) -> None:
     """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
 
@@ -220,7 +228,7 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_bloc
     reuses its buffer.  The first exception raised in any worker is re-raised
     here once every worker has stopped.
     """
-    rows = max(1, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, lam.size)))
+    rows = _block_rows(lam.size)
     starts = range(0, z.size, rows)
     workers = max(1, min(_WORKERS, len(starts)))
     errors = []

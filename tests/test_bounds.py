@@ -25,6 +25,7 @@ from gdseries import bounds as bounds_module
 from gdseries import series as series_module
 from gdseries.bounds import _log_ratios, _partial_sup_profile
 from gdseries.estimates import windowed_limsup
+from gdseries.series import _block_rows
 
 small_series = st.builds(
     lambda gaps, re, im: DirichletSeries(
@@ -135,6 +136,31 @@ def test_profile_ratio_follows_the_gamma_law(regime, kind, params, c):
         assert row.ratio == pytest.approx(law, rel=1e-4)
 
 
+def test_lc_profile_ratio_follows_the_gamma_law():
+    # on linear lambda_n = n - 1 every gap is 1, so lambda_{N+1}/gap_N = N, and
+    # the envelope e^{delta lambda_N} is 1/k: the row 3 (e/pi) Gamma(1+k)/k N^k
+    # over it leaves 3 (e/pi) Gamma(1+k) N^k, which tends to 3e/pi once k underflows
+    M, delta = 10_000, 0.1
+    Ns = [2, 5, 20, 2500, 5000, 9999]
+    prof = theorem_bound_profile(make_frequency("linear", M), "lc", {"delta": delta}, Ns=Ns)
+    assert [row.N for row in prof.rows] == Ns
+    for row in prof.rows:
+        k = min(1.0, math.exp(-delta * (row.N - 1)))
+        law = 3.0 * math.e / math.pi * math.gamma(1.0 + k) * row.N**k
+        assert row.ratio == pytest.approx(law, rel=1e-12)
+
+
+@pytest.mark.parametrize(("M", "band"), [(100_000, (1.01024, 0.99077)), (300_000, (1.00883, 0.99197))])
+def test_poly_profile_enters_the_one_percent_band_near_three_hundred_thousand(M, band):
+    # criterion 12's POLY flatness over [M/4, M): the gamma law's correction
+    # falls like log log N / log N, so the +-1% band holds only from M of about 3e5
+    prof = theorem_bound_profile(make_frequency("sqrtlog", M), "poly", {"d": 2.0}, Ns=range(M // 4, M))
+    ratios = {row.N: row.ratio for row in prof.rows}
+    up, dn = max(ratios.values()) / ratios[M // 2], min(ratios.values()) / ratios[M // 2]
+    assert (up, dn) == pytest.approx(band, abs=1e-5)
+    assert (up <= 1.01 and dn >= 0.99) == (M == 300_000)
+
+
 def test_profile_refines_coarse_frequencies():
     freq = Frequency(np.array([0.0, 5.0, 10.0, 30.0]))
     prof = theorem_bound_profile(freq, "bc", {}, Ns=[2])
@@ -232,16 +258,22 @@ def test_hardy_in_place_chunks_keep_the_whole_chunk_bits(monkeypatch):
 
 
 def test_hardy_rhs_does_not_depend_on_the_chunking():
-    # blocks of 2^18 // M rows leave x = lambda_(N+1), where the sum peaks, in a
-    # block of its own at M = 4033..4096 and 7944..8192; the terms past it are zero
+    # x = lambda_(N+1), where the sum peaks, is the last of the first round's
+    # 257 points, so a row count that divides 256 leaves it in a block of its
+    # own: the first and last M of 64 and of 32 rows; the terms past it are zero
+    entries = series_module._BLOCK_ENTRIES
+    alone = [M for rows in (64, 32) for M in (entries // (rows + 1) + 1, entries // rows)]
+    shared = [200, 3000, 5000]
+    assert [_block_rows(M) for M in alone] == [64, 64, 32, 32]
+    assert all(256 % _block_rows(M) for M in shared)
     rhs = {hardy_check(DirichletSeries(make_frequency("linear", M), np.ones(M)), 100, 0.5)[1]
-           for M in (200, 3000, 4033, 4096, 5000, 8192)}
+           for M in shared + alone}
     assert len(rhs) == 1
 
 
 def test_hardy_memory_is_one_chunk_buffer(monkeypatch):
-    # the last round's 2^18 fresh points in chunks of _BLOCK_ENTRIES // M rows,
-    # one 2 MB buffer per worker; whole-grid rounds in (1 << 20) // M-row
+    # the last round's 2^18 fresh points in chunks of _block_rows(M) rows,
+    # one 0.5 MB float buffer per worker; whole-grid rounds in (1 << 20) // M-row
     # chunks peaked at 27.5 MB
     monkeypatch.setattr(series_module, "_WORKERS", 2)
     D = _unsettled_hardy_series(20)
@@ -333,8 +365,9 @@ def test_partial_sup_profile_matches_direct_loop():
 
 
 def test_partial_sup_profile_memory_is_a_phase_and_a_float_block_per_worker(monkeypatch):
-    # at M = 2000 a block is 131 rows: 4.2 MB of phases and 2.1 MB of moduli
-    # per worker; whole-block products, sums and moduli peaked at 23.1 MB
+    # at M = 2000 a block is 32 rows: 1 MB of phases and 0.5 MB of moduli per
+    # worker; blocks of 2^18 entries peaked at 12.8 MB, and whole-block
+    # products, sums and moduli at 23.1 MB
     monkeypatch.setattr(series_module, "_WORKERS", 2)
     D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
     tracemalloc.start()
@@ -343,7 +376,7 @@ def test_partial_sup_profile_memory_is_a_phase_and_a_float_block_per_worker(monk
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 6e6
 
 
 def test_sigma_u_with_two_ratios_is_inconclusive():
@@ -426,5 +459,5 @@ def test_delta_family_shares_each_phase_block(monkeypatch):
         assert np.array_equal(row, sups)
     built.clear()
     assert delta_sequence_estimate(family, grid) == windowed_limsup("Delta", pairs)
-    # 2001 points in blocks of 655: four blocks, each built once for all members
-    assert sorted(built) == [0, 655, 1310, 1965]
+    # 2001 points in blocks of 163 rows, each built once for all members
+    assert sorted(built) == list(range(0, 2001, _block_rows(M)))

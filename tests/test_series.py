@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ from gdseries import acceptance
 from gdseries.bounds import _partial_sup_profile
 from gdseries import series as series_module
 from gdseries.series import (
-    _BLOCK_ENTRIES,
-    _BLOCK_POINTS,
     NormReport,
     SupReport,
+    _block_rows,
     _eval_line,
     _eval_points,
     _line_block,
@@ -155,7 +155,7 @@ def test_with_self_reference_evaluates_the_full_sum():
 
 
 def test_kernel_blocks_match_one_shot_expressions(monkeypatch):
-    # M = 3000 puts 87 points in a block, so the 2001-point grid takes 23,
+    # M = 3000 puts 21 points in a block, so the 2001-point grid takes 96,
     # striped over at least two workers
     monkeypatch.setattr(series_module, "_WORKERS", max(2, series_module._WORKERS))
     M = 3000
@@ -166,7 +166,7 @@ def test_kernel_blocks_match_one_shot_expressions(monkeypatch):
     amp = D.coeffs * np.exp(-lam * grid.sigma)
     blocks = []
     _phase_blocks(1j * ts, lam, lambda lo, phase: blocks.append((lo, phase.shape[0], threading.get_ident())))
-    rows = _BLOCK_ENTRIES // M
+    rows = _block_rows(M)
     assert sorted((lo, size) for lo, size, _ in blocks) == [
         (lo, min(rows, ts.size - lo)) for lo in range(0, ts.size, rows)
     ]
@@ -464,11 +464,13 @@ def _complex_exp_line_block(t, lam, phase):
 def test_line_block_keeps_the_bits_of_the_complex_exp(kind):
     # linear and log start at lambda_1 = 0; the windows hold t < 0 and t = 0,
     # and the last reaches |t lambda| = 1e6
-    M = 500
+    M = 512
     lam = make_frequency(kind, M).values
     rng = np.random.default_rng(21)
     amps = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (M, 37, 1)]
-    rows = _BLOCK_ENTRIES // M
+    rows = _block_rows(M)
+    # an even row count puts t = 0 on the middle point of the third window
+    assert rows % 2 == 0
     reach = 1e6 / lam[-1]
     windows = [
         np.array([0.0]),
@@ -624,10 +626,10 @@ def test_criterion_6_builds_each_phase_row_once_per_polynomial(rows_built):
 
 @pytest.fixture
 def striped():
-    """A series and a grid whose 1399 points take two full blocks and one of one row."""
+    """A series and a grid whose 2 * rows + 1 points take two full blocks and one of one row."""
     D = _seeded("log", 375, 4)
-    grid = LineGrid(0.2, 0.0, 69.9, 0.05)
-    rows = _BLOCK_ENTRIES // D.M
+    rows = _block_rows(D.M)
+    grid = LineGrid(0.2, 0.0, 0.1 * rows, 0.05)
     assert grid.points().size == 2 * rows + 1
     return D, grid
 
@@ -644,7 +646,7 @@ def test_results_do_not_depend_on_the_worker_count(striped, workers, monkeypatch
             _eval_points(D, grid.sigma + 1j * ts),
             _partial_sup_profile(D, grid),
             line_sup_report(D, None, grid),
-            halfplane_norm(D, LineGrid(1e-3, 0.0, 69.9, 0.05)),
+            halfplane_norm(D, LineGrid(1e-3, 0.0, grid.t_max, 0.05)),
         ]
 
     monkeypatch.setattr(series_module, "_WORKERS", 1)
@@ -691,6 +693,41 @@ def test_one_block_starts_no_thread(monkeypatch):
     assert len(started) == 1
 
 
+@pytest.mark.parametrize("M", [series_module._BLOCK_ENTRIES // 2 + 1, series_module._BLOCK_ENTRIES + 1])
+def test_wide_series_take_blocks_of_two_rows(M, monkeypatch):
+    # past 2^15 frequencies the entry budget gives one row or none; the floor of
+    # two keeps every block but the last off the one-row path, which doubles it
+    D = _seeded("log", M, 12)
+    blocks = []
+    inner = series_module._phase_blocks
+
+    def recording(z, lam, work, *rest):
+        def recorded(lo, phase):
+            blocks.append((lo, phase.shape[0]))
+            work(lo, phase)
+
+        inner(z, lam, recorded, *rest)
+
+    monkeypatch.setattr(series_module, "_phase_blocks", recording)
+    grid = LineGrid(0.0, 0.0, 1.0, 0.1)
+    line_sup_report(D, None, grid, max_rounds=1)
+    assert sorted(blocks) == [(lo, 2) for lo in range(0, 10, 2)] + [(10, 1)]
+
+
+def test_line_sup_memory_is_one_small_block_per_worker(monkeypatch):
+    # at M = 10^4 a block is 6 rows, 0.96 MB of phases per worker; blocks of
+    # 2^18 entries peaked at 8.6 MB
+    monkeypatch.setattr(series_module, "_WORKERS", 2)
+    D = DirichletSeries(make_frequency("log", 10_000), np.ones(10_000))
+    tracemalloc.start()
+    try:
+        line_sup_report(D, None, LineGrid(0.0, 0.0, 100.0, 0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_partial_sup_profile_folds_every_block_under_contention(monkeypatch):
     # more workers than cores and a short switch interval: a lost update in
     # the fold of column maxima would leave some sup below its serial value
@@ -717,7 +754,7 @@ def test_partial_sup_profile_folds_in_place_to_the_one_shot_bits(monkeypatch):
         if kind == "custom-from-list":
             continue
         for M in (1, 2, 131, 132, 4096):
-            rows = min(_BLOCK_POINTS, _BLOCK_ENTRIES // M)
+            rows = _block_rows(M)
             grid = LineGrid(0.1, 0.0, 0.05 * rows, 0.05)
             ts = grid.points()
             assert ts.size == rows + 1
