@@ -9,11 +9,11 @@ value is a lower bound of the true sup.  Where an inequality needs the norm on
 its large side, use the certified upper bound: partial sums are Lipschitz in t
 with constant sum |a_n| lambda_n e^{-lambda_n sigma}, so
 
-    sup over the covered t-window <= grid max + Lipschitz * step / 2,
+    sup over the covered t-window <= grid max + Lipschitz * step / 2 + 2E,
 
 capped by the triangle-inequality bound sum |a_n| e^{-lambda_n sigma}, where
-step is the largest spacing actually sampled.  The certificate covers the
-sampled window, which the callers choose.
+step is the largest spacing actually sampled and E the rounding term below.
+The certificate covers the sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 ``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
@@ -52,11 +52,30 @@ t-window for all their lines together (``_refine_lines``): a round builds the
 phase rows of its points once, over the widest line still refining, and each
 line keeps its own max, convergence test and certificate.
 Every grid sup, these and Hardy's in ``bounds``, halves its step in one loop
-(``_refine_max``), which evaluates each point once: a round evaluates only
-the points the previous round lacked when its grid is a true refinement,
-that is when the new grid's even points are the previous grid bit for bit.
-``LineGrid`` rounds W/h, so a step that does not divide the window can give
-another size, and then every point is evaluated afresh.
+(``_refine_max``), which evaluates each point at most once: a round asks
+only for the points the previous round lacked when its grid is a true
+refinement, that is when the new grid's even points are the previous grid
+bit for bit.  ``LineGrid`` rounds W/h, so a step that does not divide the
+window can give another size, and then every point is evaluated afresh.
+A line sup also skips each new midpoint that no live line can raise above
+its max.  With u the computed |value| at an evaluated point, or the bound at
+a skipped one, a midpoint at distances d_l, d_r from its neighbours is asked
+for only when min(u_l + L d_l, u_r + L d_r) (1 + 1e-12) + 2E reaches some
+live line's max before the round, L being that line's Lipschitz constant.
+A skipped point is bounded, not evaluated; its computed value lies below
+that max, so no result, round or step changes.  Hardy's sup evaluates every
+point.
+
+E bounds the distance between a computed |value| and the exact modulus, on
+a line of m terms with cap sum |c_n| e^{-lambda_n sigma}, over a window with
+T = max(|t_min|, |t_max|):
+
+    E = 2u (T L + (m + 8) cap),    u = 2^-53.
+
+T L covers the rounding of each t lambda_n; (m + 8) cap covers about one ulp
+in each libm cos and sin, the complex products, the m-term sum in any order
+(gamma_m) and the abs; the factor 2 is a margin.  A skip needs 2E, one E for
+the midpoint and one for its neighbour; the certificate adds the same 2E.
 """
 
 from __future__ import annotations
@@ -103,6 +122,8 @@ _WORKERS = min(
     8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 _MAX_ROUNDS = 10
+# unit roundoff of float64, for the rounding term E of a line sup
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -341,7 +362,9 @@ class SupReport:
     rounds: int
 
 
-def _refine_max(rows: Callable, count: int, grid: LineGrid, tol: float, max_rounds: int) -> list:
+def _refine_max(
+    rows: Callable, count: int, grid: LineGrid, tol: float, max_rounds: int, bounds: Optional[list] = None
+) -> list:
     """Grid max of ``count`` functions over grid's t-window (grid.sigma is not read).
 
     ``rows(ts, live)`` gives the values at ts of the functions indexed by
@@ -352,9 +375,17 @@ def _refine_max(rows: Callable, count: int, grid: LineGrid, tol: float, max_roun
     ``tol``, relative, or after ``max_rounds`` rounds: that limits the change
     between two grids, not the distance to the true sup.  Returns one
     (max, t_at_max, largest spacing, step, rounds) per function.
+
+    ``bounds``, one (Lipschitz constant L, rounding term E) pair per
+    function, or None, lets a true refinement skip points: each live
+    function keeps an upper bound u at every grid point, and a midpoint is
+    asked for only when min(u_l + L d_l, u_r + L d_r) (1 + 1e-12) + 2E
+    reaches some live function's max.  A skipped point is bounded, not
+    evaluated (see the module docstring).
     """
     best = [-math.inf] * count
     t_best = [grid.t_min] * count
+    upper = [None] * count
     out = [None] * count
     live = list(range(count))
     step = grid.step
@@ -365,11 +396,28 @@ def _refine_max(rows: Callable, count: int, grid: LineGrid, tol: float, max_roun
         rounds += 1
         refined = old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old)
         fresh = ts[1::2] if refined else ts
+        mids = {}
+        if refined and bounds is not None:
+            d_l, d_r = fresh - old[:-1], old[1:] - fresh
+            ask = np.zeros(fresh.size, dtype=bool)
+            for j in live:
+                lip, err = bounds[j]
+                mids[j] = np.minimum(upper[j][:-1] + lip * d_l, upper[j][1:] + lip * d_r)
+                # a nan bound proves nothing, so its point is asked for
+                ask |= ~(mids[j] * (1.0 + 1e-12) + 2.0 * err < best[j])
+            fresh = fresh[ask]
         prev = list(best)
         for j, vals in zip(live, rows(fresh, live)):
-            i = int(np.argmax(vals))
-            if vals[i] > best[j]:
-                best[j], t_best[j] = float(vals[i]), float(fresh[i])
+            if vals.size:
+                i = int(np.argmax(vals))
+                if vals[i] > best[j]:
+                    best[j], t_best[j] = float(vals[i]), float(fresh[i])
+            if j in mids:
+                mids[j][ask] = vals
+                known, upper[j] = upper[j], np.empty(ts.size)
+                upper[j][::2], upper[j][1::2] = known, mids[j]
+            else:
+                upper[j] = vals
         for j in list(live):
             converged = rounds > 1 and abs(best[j] - prev[j]) <= tol * max(best[j], 1e-300)
             if converged or rounds >= max_rounds:
@@ -402,17 +450,19 @@ def _refine_lines(
     points once, over the widest line still refining.
     """
     terms = [_line_terms(D.freq.values[: len(c)], c, sigma) for c, sigma in lines]
+    reach = max(abs(grid.t_min), abs(grid.t_max))
+    bounds = [(lip, 2.0 * _U * (reach * lip + (amp.size + 8) * cap)) for amp, cap, lip in terms]
 
     def rows(ts, live):
         amps = [terms[j][0] for j in live]
         return [np.abs(row) for row in _eval_line(D, amps, ts, max(a.size for a in amps))]
 
-    results = _refine_max(rows, len(terms), grid, tol_sup, max_rounds)
+    results = _refine_max(rows, len(terms), grid, tol_sup, max_rounds, bounds)
     # the cap and the grid max can coincide up to summation order; the
     # certificate must never fall below the observed lower bound
     return [
-        SupReport(best, max(min(best + lip * spacing / 2.0, cap), best), t_best, step, rounds)
-        for (_, cap, lip), (best, t_best, spacing, step, rounds) in zip(terms, results)
+        SupReport(best, max(min(best + lip * spacing / 2.0 + 2.0 * err, cap), best), t_best, step, rounds)
+        for (_, cap, _), (lip, err), (best, t_best, spacing, step, rounds) in zip(terms, bounds, results)
     ]
 
 
@@ -426,9 +476,10 @@ def line_sup_report(
     """Refine the grid (halving the step) until a round raises the max by at
     most ``tol_sup``, relative, or ``max_rounds`` rounds have run.
 
-    The certified upper bound, grid max + Lipschitz * h / 2 with h the final
-    round's largest spacing (``step`` is the nominal one), is capped by the
-    coefficient-sum bound; it covers [t_min, t_max] on this line only.
+    The certified upper bound, grid max + Lipschitz * h / 2 + 2E with h the
+    final round's largest spacing (``step`` is the nominal one) and E the
+    rounding term of the module docstring, is capped by the coefficient-sum
+    bound; it covers [t_min, t_max] on this line only.
     """
     return _refine_lines(D, [(D.coeffs[: _check_N(D, N)], grid.sigma)], grid, tol_sup, max_rounds)[0]
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdseries import (
@@ -353,7 +353,10 @@ def _naive_line_sup(D, N, grid, tol_sup=1e-4, max_rounds=10):
     spacing = float(np.max(np.diff(ts)))
     lam = D.freq.values[:N]
     lipschitz = math.fsum(np.abs(D.coeffs[:N]) * lam * np.exp(-lam * grid.sigma))
-    upper = min(best + lipschitz * spacing / 2.0, D.abs_sum(grid.sigma, N))
+    cap = D.abs_sum(grid.sigma, N)
+    # 2E, twice the rounding term E = 2u (T L + (N + 8) cap) of the series docstring
+    rounding = 4.0 * 2.0**-53 * (max(abs(grid.t_min), abs(grid.t_max)) * lipschitz + (N + 8) * cap)
+    upper = min(best + lipschitz * spacing / 2.0 + rounding, cap)
     return SupReport(best, max(upper, best), t_best, step, rounds)
 
 
@@ -368,16 +371,32 @@ def _naive_norm(D, grid, levels, tol_sup):
 
 @pytest.fixture
 def rows_built(monkeypatch):
-    """Count the phase rows (points) that ``_eval_line`` is asked for."""
+    """Count the phase rows (points) that ``_eval_line`` is asked for; the
+    points of each call follow the count."""
     count = [0]
     inner = series_module._eval_line
 
     def counting(D, amps, ts, N=None):
         count[0] += ts.size
+        count.append(ts.copy())
         return inner(D, amps, ts, N)
 
     monkeypatch.setattr(series_module, "_eval_line", counting)
     return count
+
+
+def _asked_once(calls, t_min):
+    """No t is asked twice, except by a round that asks its whole grid afresh:
+    only such a round asks for t_min, since a refinement asks for midpoints."""
+    seen = set()
+    for ts in calls:
+        if ts.size and ts[0] == t_min:
+            seen = set()
+        points = set(ts.tolist())
+        if len(points) < ts.size or points & seen:
+            return False
+        seen |= points
+    return True
 
 
 def _seeded(kind, M, seed):
@@ -399,9 +418,9 @@ def _fresh_rows(grid, rounds):
 @pytest.mark.parametrize(
     "M, N, window, max_rounds",
     [
-        # 699 points per block: the 700 new points of round 2 take a full block
-        # and a block of one point
-        (375, None, (0.0, 35.0, 0.05), 2),
+        # 233 points per block: the 700 new points of round 2 take three full
+        # blocks and a block of one point
+        (281, None, (0.0, 35.0, 0.05), 2),
         # 20.3 / 0.09 and its halvings round to 226, 451, 902 and 1804 intervals:
         # round 2 is not a true refinement and is evaluated afresh, rounds 3 and 4 are
         (40, 25, (-3.0, 17.3, 0.09), 4),
@@ -413,11 +432,14 @@ def test_line_sup_report_is_bit_identical_to_full_grid_rounds(M, N, window, max_
     D = _seeded("log", M, 8)
     grid = LineGrid(1e-3, *window)
     want = _naive_line_sup(D, N, grid, tol_sup=1e-12, max_rounds=max_rounds)
-    rows_built[0] = 0
+    rows_built[:] = [0]
     got = line_sup_report(D, N, grid, tol_sup=1e-12, max_rounds=max_rounds)
     assert got == want
     assert got.rounds == max_rounds
-    assert rows_built[0] == _fresh_rows(grid, max_rounds)
+    assert rows_built[0] <= _fresh_rows(grid, max_rounds)
+    assert _asked_once(rows_built[1:], grid.t_min)
+    if M == 281:  # multi-block
+        assert any(ts.size % _block_rows(M) == 1 for ts in rows_built[1:])
 
 
 def test_halfplane_norm_is_bit_identical_with_levels_stopping_in_different_rounds(rows_built):
@@ -425,9 +447,10 @@ def test_halfplane_norm_is_bit_identical_with_levels_stopping_in_different_round
     grid = LineGrid(1e-3, -3.0, 17.3, 0.09)
     want, reps = _naive_norm(D, grid, 6, 1e-7)
     assert len({r.rounds for r in reps}) > 1
-    rows_built[0] = 0
+    rows_built[:] = [0]
     assert halfplane_norm(D, grid, 6, 1e-7) == want
-    assert rows_built[0] == _fresh_rows(grid, max(r.rounds for r in reps))
+    assert rows_built[0] <= _fresh_rows(grid, max(r.rounds for r in reps))
+    assert _asked_once(rows_built[1:], grid.t_min)
 
 
 def _amplitudes(D, N, sigmas):
@@ -512,15 +535,18 @@ def test_line_paths_keep_the_bits_of_the_complex_exp(kind, monkeypatch):
 def test_halfplane_norm_builds_each_phase_row_once(rows_built):
     D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
     halfplane_norm(D)
-    # 8 levels x (2001 + 4001) rows when every level rebuilt every round
-    assert rows_built[0] == 4001
+    # 8 levels x (2001 + 4001) rows when every level rebuilt every round, and
+    # 4001 when every new point was evaluated: the maxima sit at t = 0, and
+    # the Lipschitz bound skips most midpoints away from it
+    assert rows_built[0] == 2014
 
 
 def test_line_sup_report_builds_only_the_new_points(rows_built):
     D = DirichletSeries(make_frequency("log", 10_000), np.ones(10_000))
     line_sup_report(D, None, LineGrid(1e-3, 0.0, 100.0, 0.05))
-    # 2001 + 4001 rows when each round rebuilt its whole grid
-    assert rows_built[0] == 4001
+    # 2001 + 4001 rows when each round rebuilt its whole grid, and 4001 when
+    # every new point was evaluated
+    assert rows_built[0] == 2016
 
 
 def _riesz_lines(D, xs, sigma, ks=(0.25, 0.5, 1.0)):
@@ -547,12 +573,12 @@ def _criterion_6_lines(D):
             (D, _criterion_6_lines(D), (0.0, 60.0, 0.05), 1e-4, 3)
             for D, _ in acceptance._polynomial_family(7)[2:6]
         ],
-        # the widest prefix takes 699 points per block, so the 700 new points
-        # of round 2 take a full block and a block of one point
+        # the widest prefix takes 233 points per block, so the 700 new points
+        # of round 2 take three full blocks and a block of one point
         (
-            _seeded("log", 375, 8),
-            [(_seeded("log", 375, 8).coeffs[:N], sg) for N in (375, 374, 200, 1) for sg in (1e-3, 0.5)]
-            + _riesz_lines(_seeded("log", 375, 8), (2.0, 4.0, 5.9), 0.25),
+            _seeded("log", 281, 8),
+            [(_seeded("log", 281, 8).coeffs[:N], sg) for N in (281, 280, 200, 1) for sg in (1e-3, 0.5)]
+            + _riesz_lines(_seeded("log", 281, 8), (2.0, 4.0, 5.6), 0.25),
             (0.0, 35.0, 0.05), 1e-12, 2,
         ),
         # round 2 is not a true refinement and is evaluated afresh; the lines
@@ -568,11 +594,14 @@ def _criterion_6_lines(D):
 def test_lines_over_prefixes_equal_one_line_sup_each(D, lines, window, tol_sup, max_rounds, rows_built):
     grid = LineGrid(0.0, *window)
     want = [line_sup_report(_over_prefix(D, c), None, LineGrid(sg, *window), tol_sup, max_rounds) for c, sg in lines]
-    rows_built[0] = 0
+    rows_built[:] = [0]
     got = _refine_lines(D, lines, grid, tol_sup, max_rounds)
     assert got == want
-    # one build of each round's new rows for all lines
-    assert rows_built[0] == _fresh_rows(grid, max(rep.rounds for rep in got))
+    # at most one build of each round's new rows for all lines
+    assert rows_built[0] <= _fresh_rows(grid, max(rep.rounds for rep in got))
+    assert _asked_once(rows_built[1:], grid.t_min)
+    if D.M == 281:  # multi-block
+        assert any(ts.size % _block_rows(D.M) == 1 for ts in rows_built[1:])
 
 
 def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
@@ -616,12 +645,87 @@ def test_sigma_u_k_ratios_equal_one_line_sup_per_length():
 
 def test_criterion_6_builds_each_phase_row_once_per_polynomial(rows_built):
     acceptance._polynomial_family(7)  # the shared family is built before counting
-    rows_built[0] = 0
+    rows_built[:] = [0]
     assert acceptance.criterion_6(7)[0]
     # one refinement of 1201 + 1200 + 2400 rows at most per polynomial, where
-    # each of the 900 truncations made its own (2,271,300 rows)
+    # each of the 900 truncations made its own (2,271,300 rows); 168,050 when
+    # every new point was evaluated
     assert rows_built[0] <= 50 * 4801
-    assert rows_built[0] == 168_050
+    assert rows_built[0] == 75_800
+
+
+@st.composite
+def _line_cases(draw):
+    """A polynomial with M <= 40, lines over its prefixes and sigma-levels, and
+    a window (t_min, t_max, step) whose step need not divide it."""
+    M = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["log", "logprimes", "linear", "random"]))
+    if kind == "random":
+        gaps = draw(st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=M, max_size=M))
+        freq = Frequency(np.cumsum(gaps))
+    else:
+        freq = make_frequency(kind, M)
+    if draw(st.booleans()):
+        coeffs = np.ones(M, dtype=complex)
+    else:
+        parts = st.lists(st.floats(min_value=-3, max_value=3), min_size=2 * M, max_size=2 * M)
+        coeffs = np.array(draw(parts)).view(complex)
+    D = DirichletSeries(freq, coeffs)
+    lines = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=M), st.sampled_from([0.0, 1e-3, 0.1, 0.5])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    t_min = draw(st.floats(min_value=-20.0, max_value=20.0))
+    width = draw(st.floats(min_value=0.5, max_value=30.0))
+    step = width / draw(st.floats(min_value=1.5, max_value=80.0))
+    return D, [(D.coeffs[:N], sg) for N, sg in lines], (t_min, t_min + width, step)
+
+
+def _ones_case(kind, M, window):
+    D = DirichletSeries(make_frequency(kind, M), np.ones(M, dtype=complex))
+    return D, [(D.coeffs, 0.0), (D.coeffs[: M // 2], 1e-3), (D.coeffs, 0.1)], window
+
+
+_RIPPLE = DirichletSeries(make_frequency("log", 2), np.array([-2.0 + 1.5j, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_cases(), st.sampled_from([1e-4, 1e-12]), st.integers(min_value=1, max_value=6))
+# the maxima sit at t = 0, and most midpoints are skipped
+@example(_ones_case("log", 40, (0.0, 20.0, 0.05)), 1e-12, 6)
+# the peak at t = 2 pi lies between grid points, so the max rises between rounds
+@example(_ones_case("linear", 40, (1.0, 7.0, 0.01)), 1e-12, 6)
+# |g| rises by more than L d / 2 over a distance d, so the slope term needs its full d
+@example((_RIPPLE, [(_RIPPLE.coeffs, 0.0)], (0.5, 25.5, 12.5)), 1e-4, 3)
+def test_skipped_points_cannot_raise_a_line_max(case, tol_sup, max_rounds):
+    D, lines, window = case
+    asked = []
+    inner = series_module._eval_line
+
+    def recording(D, amps, ts, N=None):
+        asked.append(ts.copy())
+        return inner(D, amps, ts, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_eval_line", recording)
+        got = _refine_lines(D, lines, LineGrid(0.0, *window), tol_sup, max_rounds)
+    # the results of evaluating every point each round lacks
+    for (c, sg), rep in zip(lines, got):
+        assert rep == _naive_line_sup(D, c.size, LineGrid(sg, *window), tol_sup, max_rounds)
+    norm = halfplane_norm(D, LineGrid(1e-3, *window), 3, tol_sup)
+    assert norm == _naive_norm(D, LineGrid(1e-3, *window), 3, tol_sup)[0]
+    # a point no round asked for holds at most its line's max
+    seen = set(np.concatenate(asked).tolist())
+    grid = LineGrid(0.0, *window)
+    for (c, sg), rep in zip(lines, got):
+        points = {t for j in range(rep.rounds) for t in grid.points(grid.step / 2.0**j).tolist()}
+        skipped = np.array(sorted(points - seen))
+        if skipped.size:
+            amp = series_module._line_terms(D.freq.values[: c.size], c, sg)[0]
+            assert np.abs(inner(D, [amp], skipped, c.size)[0]).max() <= rep.value
 
 
 @pytest.fixture
