@@ -332,8 +332,8 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
 
     The sup is a grid max over x in [0, lambda_{N+1}], from ``_HARDY_POINTS``
     points refined by ``series._refine_max`` (``_HARDY_TOL``, ``_HARDY_ROUNDS``).
-    Each round's weight rows (x - lambda_n)_+^k are built in place in the
-    kernel's blocks and summed by ``series._phase_sum``, so a value does not
+    Each round's weight rows (x - lambda_n)_+^k are cast into the kernel's
+    complex blocks and summed by ``series._phase_sum``, so a value does not
     depend on the block its x falls in.
     A grid max is at most the true sup, and the stop rule does not bound the
     gap, so rhs can fall below the true rhs: the check then errs on the
@@ -349,15 +349,16 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     lam_next = float(lam[N])
     log_gap = float(D.freq.log_gap_values()[N - 1])
 
-    def weights(xs, lam, w):
-        # (x - lambda_n)_+^k, in place in the kernel's float block
-        np.subtract.outer(xs, lam, out=w)
+    def weights(xs, lam, phase):
+        # (x - lambda_n)_+^k in a float temporary, cast into the complex block
+        w = np.subtract.outer(xs, lam)
         off = w <= 0.0
         np.power(np.maximum(w, 1e-300, out=w), k, out=w)
         w[off] = 0.0
+        phase[...] = w
 
     def weigh(xs, _live):
-        return [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights, float)]
+        return [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights)]
 
     grid = LineGrid(0.0, 0.0, lam_next, lam_next / (_HARDY_POINTS - 1))
     ((sup, *_),) = _refine_max(weigh, 1, grid, _HARDY_TOL, _HARDY_ROUNDS)

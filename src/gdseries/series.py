@@ -16,19 +16,18 @@ step is the largest spacing actually sampled and E the rounding term below.
 The certificate covers the sampled window, which the callers choose.
 
 Every sum_n amp_n e^{-lambda_n z} over many points z is built from
-``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in blocks of at most
-4096 points and 2^16 entries (1 MiB, one core's L2 cache), but never fewer than
-two points (``_block_rows``).  On a line, z = i t for
-real t, ``_line_block`` fills a block in place with cos(t lambda) and
--sin(t lambda): the bits the complex exp gives at z = 1j * t, at about three
-quarters of its cost.  General points (Perron, coefficient recovery, the self
-reference) keep the complex exp of ``_exp_block``: split the same way, its
-real part would run numpy's vectorized float exp, whose bits differ from the
-complex exp's.  Hardy's weight rows sum_n a_n (x - lambda_n)_+^k in
-``bounds`` run through the same blocks, with a builder that fills the weights
-into a float buffer.  The blocks of one call are striped over ``_WORKERS``
-threads, one per core the process may run on (at most 8): worker w builds
-blocks w, w + W, ... in one reused buffer, and the calling thread is worker 0.
+``_phase_blocks``: the phase matrix exp(-outer(z, lambda)) in complex blocks of
+2^16 entries (1 MiB, one core's L2 cache), but never fewer than two points
+(``_block_rows``).  On a line, z = i t for real t, ``_line_block`` fills a
+block in place with cos(t lambda) and -sin(t lambda): the bits the complex exp
+gives at z = 1j * t, at about three quarters of its cost.  General points
+(Perron, coefficient recovery, the self reference) keep the complex exp of
+``_exp_block``: split the same way, its real part would run numpy's vectorized
+float exp, whose bits differ from the complex exp's.  Hardy's weight rows
+sum_n a_n (x - lambda_n)_+^k in ``bounds`` are cast into the same blocks.  The
+blocks of one call are striped over ``_WORKERS`` threads, one per core the
+process may run on (at most 8): worker w builds blocks w, w + W, ... in one
+reused buffer, and the calling thread is worker 0.
 numpy releases the interpreter lock inside its ufuncs and the GEMV, so the
 workers run in parallel.  This is bit-safe: a block is built by the same
 ufunc loops whatever its rows, and each value is one GEMV row of a block of at
@@ -114,7 +113,6 @@ __all__ = [
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-_BLOCK_POINTS = 4096
 # 1 MiB of complex phases, plus a 0.5 MiB block of moduli in the fold, fits a core's L2
 _BLOCK_ENTRIES = 1 << 16
 # at most 8 blocks in flight keeps the phase memory within 8 MiB
@@ -233,16 +231,16 @@ def _line_block(t: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
 
 
 def _block_rows(m: int) -> int:
-    """Rows of a phase block over m frequencies: at least two, so that a wide
-    series is not summed on the one-row path, which doubles its block."""
-    return max(2, min(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, m)))
+    """Rows of a phase block over m >= 1 frequencies: at least two, so that a
+    wide series is not summed on the one-row path, which doubles its block."""
+    return max(2, _BLOCK_ENTRIES // m)
 
 
-def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block, dtype=complex) -> None:
+def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block) -> None:
     """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
 
-    ``fill(z_block, lam, phase)`` may build another block in place, in a
-    buffer of ``dtype``.  The blocks are striped over ``_WORKERS`` threads,
+    ``fill(z_block, lam, phase)`` may build another block in place, in the
+    same complex buffer.  The blocks are striped over ``_WORKERS`` threads,
     the calling one included; a call with one block starts no thread.
     ``fill`` and ``work`` may run concurrently with themselves.  ``work`` may
     overwrite ``phase`` in place but must not keep it, since the next block
@@ -256,7 +254,7 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_bloc
 
     def stripe(w: int) -> None:
         try:
-            buf = np.empty((min(rows, z.size), lam.size), dtype=dtype)
+            buf = np.empty((min(rows, z.size), lam.size), dtype=complex)
             for lo in starts[w::workers]:
                 if errors:
                     return
@@ -276,13 +274,13 @@ def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_bloc
         raise errors[0]
 
 
-def _phase_sum(z: np.ndarray, lam: np.ndarray, amps: list, fill=_exp_block, dtype=complex) -> list:
+def _phase_sum(z: np.ndarray, lam: np.ndarray, amps: list, fill=_exp_block) -> list:
     """sum_n amp_n e^{-lambda_n z} at every point of the 1-D array z, one row
     per amplitude vector of ``amps``, each over a prefix lam[:m] of lam.
 
     Each row owns its data: Perron's integrand multiplies an owned temporary
     in place, and a view would change the bits of ``perron eval``.  ``fill``
-    and ``dtype`` replace the phase block as in ``_phase_blocks``.
+    replaces the phase block as in ``_phase_blocks``.
     """
     out = [np.empty(z.size, dtype=complex) for _ in amps]
 
@@ -294,7 +292,7 @@ def _phase_sum(z: np.ndarray, lam: np.ndarray, amps: list, fill=_exp_block, dtyp
         for row, a in zip(out, amps):
             row[lo : lo + rows] = (phase[:, : a.size] @ a)[:rows]
 
-    _phase_blocks(z, lam, gemv, fill, dtype)
+    _phase_blocks(z, lam, gemv, fill)
     return out
 
 

@@ -273,8 +273,8 @@ def test_hardy_rhs_does_not_depend_on_the_chunking():
 
 def test_hardy_memory_is_one_chunk_buffer(monkeypatch):
     # the last round's 2^18 fresh points in chunks of _block_rows(M) rows,
-    # one 0.5 MB float buffer per worker; whole-grid rounds in (1 << 20) // M-row
-    # chunks peaked at 27.5 MB
+    # one 1 MiB complex buffer per worker and a 0.5 MiB float temporary per
+    # chunk; whole-grid rounds in (1 << 20) // M-row chunks peaked at 27.5 MB
     monkeypatch.setattr(series_module, "_WORKERS", 2)
     D = _unsettled_hardy_series(20)
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gdseries import (
     neder_divergence_check,
     refine_gaps,
 )
+from gdseries import neder as neder_module
 from gdseries.neder import _strict_floor
 
 
@@ -43,6 +45,40 @@ def test_fejer_sup_max_is_bounded():
     assert c_obs < 4.0
     sups = [fejer_sup(m) for m in range(1, 65)]
     assert max(sups) == c_obs
+
+
+def _two_si_pi():
+    # Si(pi) = sum_k (-1)^k pi^(2k+1) / ((2k+1) (2k+1)!); the terms fall below 1e-17 by k = 14
+    terms = ((-1) ** k * math.pi ** (2 * k + 1) / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(20))
+    return 2.0 * math.fsum(terms)
+
+
+def test_two_si_pi_series_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    assert abs(_two_si_pi() - float(2 * mpmath.si(mpmath.pi))) <= 1e-15
+
+
+def test_fejer_sups_stay_below_the_stated_two_si_pi():
+    # on the circle |F_m| = 2 |sum_{j<m} sin(j theta) / j|, whose Gibbs peak
+    # near theta = pi/m rises to 2 Si(pi) from below, short of it by about pi/m
+    bound = _two_si_pi()
+    stated = re.search(r"2 Si\(pi\) = (\d+\.\d+)", neder_module.__doc__).group(1)
+    assert stated == f"{bound:.6f}" == "3.703874"
+    assert max(fejer_sup(m) for m in range(1, 65)) < bound
+    assert fejer_sup_max() < bound
+    for m in (256, 1024, 4096):
+        js = np.arange(1, m)
+        lo, hi = 0.5 * math.pi / m, 1.5 * math.pi / m
+        for _ in range(3):  # each pass narrows the grid to two of its steps around the max
+            theta = np.linspace(lo, hi, 201)
+            sums = np.abs(np.sin(np.outer(theta, js)) @ (1.0 / js))
+            i = int(np.argmax(sums))
+            lo, hi = theta[i] - (theta[1] - theta[0]), theta[i] + (theta[1] - theta[0])
+        peak = 2.0 * sums[i]
+        assert bound - 4.0 / m < peak < bound
+        on_circle = abs(fejer_polynomial(m).eval_many(np.exp(1j * theta[i : i + 1]))[0])
+        assert on_circle == pytest.approx(peak, rel=1e-12)
+        assert on_circle < bound
 
 
 def _circle_sup(m):

@@ -181,6 +181,28 @@ def test_kernel_blocks_match_one_shot_expressions(monkeypatch):
     assert np.array_equal(with_self_reference(D).reference(s), np.exp(-np.outer(s, lam)) @ D.coeffs)
 
 
+def test_narrow_series_fill_the_entry_budget(monkeypatch):
+    # below 16 frequencies a block holds 2^16 // m rows, more than 4096: a
+    # 5-term series puts 13,107 points in a block, so 30,001 points take three
+    ms = (1, 5, 15, 16, 17)
+    assert [_block_rows(m) for m in ms] == [series_module._BLOCK_ENTRIES // m for m in ms]
+    monkeypatch.setattr(series_module, "_WORKERS", max(2, series_module._WORKERS))
+    D = _seeded("log", 5, 3)
+    grid = LineGrid(0.1, 0.0, 300.0, 0.01)
+    ts, lam = grid.points(), D.freq.values
+    blocks = []
+    _phase_blocks(1j * ts, lam, lambda lo, phase: blocks.append((lo, phase.shape[0])))
+    assert sorted(blocks) == [(0, 13_107), (13_107, 13_107), (26_214, 3_787)]
+
+    amp = D.coeffs * np.exp(-lam * grid.sigma)
+    phase = np.exp(-1j * np.outer(ts, lam))
+    assert np.array_equal(_eval_line(D, [amp], ts)[0], phase @ amp)
+    s = grid.sigma + 1j * ts
+    assert np.array_equal(_eval_points(D, s), np.exp(-np.outer(s, lam)) @ D.coeffs)
+    one_shot = np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)
+    assert np.array_equal(_partial_sup_profile(D, grid), one_shot)
+
+
 def _with_reference(f):
     return DirichletSeries(make_frequency("linear", 4), np.ones(4, dtype=complex), reference=f)
 
@@ -765,7 +787,8 @@ def test_results_do_not_depend_on_the_worker_count(striped, workers, monkeypatch
 @pytest.mark.parametrize("raise_in_caller", [False, True])
 def test_phase_blocks_reraise_a_worker_exception_and_leave_no_thread(raise_in_caller, monkeypatch):
     monkeypatch.setattr(series_module, "_WORKERS", 3)
-    monkeypatch.setattr(series_module, "_BLOCK_POINTS", 2)
+    # blocks of two rows over the four frequencies
+    monkeypatch.setattr(series_module, "_BLOCK_ENTRIES", 2 * 4)
     before = threading.active_count()
     caller = threading.get_ident()
 
@@ -837,7 +860,8 @@ def test_partial_sup_profile_folds_every_block_under_contention(monkeypatch):
     # the fold of column maxima would leave some sup below its serial value
     D = _seeded("log", 4096, 10)
     grid = LineGrid(0.0, 0.0, 20.0, 0.05)
-    monkeypatch.setattr(series_module, "_BLOCK_POINTS", 4)
+    # blocks of four rows over the 4096 frequencies
+    monkeypatch.setattr(series_module, "_BLOCK_ENTRIES", 4 * 4096)
     monkeypatch.setattr(series_module, "_WORKERS", 1)
     want = _partial_sup_profile(D, grid)
     monkeypatch.setattr(series_module, "_WORKERS", 8)
