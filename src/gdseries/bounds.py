@@ -350,12 +350,9 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     log_gap = float(D.freq.log_gap_values()[N - 1])
 
     def weights(xs, lam, phase):
-        # (x - lambda_n)_+^k in a float temporary, cast into the complex block
+        # (x - lambda_n)_+^k, zero for x <= lambda_n since 0^k = 0, cast into the block
         w = np.subtract.outer(xs, lam)
-        off = w <= 0.0
-        np.power(np.maximum(w, 1e-300, out=w), k, out=w)
-        w[off] = 0.0
-        phase[...] = w
+        phase[...] = np.power(np.maximum(w, 0.0, out=w), k, out=w)
 
     def weigh(xs, _live):
         return [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights)]

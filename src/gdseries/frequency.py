@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -181,33 +181,20 @@ def _interleaved(M: int, *, double_exponential: bool) -> Frequency:
     to keep strict monotonicity, and the exact log-gaps are recorded so that
     condition checks see the true gap sizes.
     """
-    vals = np.empty(M)
-    log_gaps = np.empty(max(M - 1, 0))
-    for pos in range(1, M + 1):
-        n = (pos + 1) // 2
-        if pos % 2 == 1:
-            vals[pos - 1] = float(n)
+    vals, log_gaps = [], []
+    for n in range(1, M // 2 + 2):
+        if double_exponential:
+            log_eps = -math.exp(float(n * n)) if n * n < 709 else _LOG_FLOOR
         else:
-            if double_exponential:
-                inner = math.exp(float(n * n)) if n * n < 709 else math.inf
-                eps = math.exp(-inner) if math.isfinite(inner) else 0.0
-                log_eps = -inner if math.isfinite(inner) else _LOG_FLOOR
-            else:
-                eps = math.exp(-float(n * n))
-                log_eps = -float(n * n)
-            target = n + eps
-            if target <= n:
-                target = np.nextafter(float(n), math.inf)
-            vals[pos - 1] = target
-            if pos - 1 >= 1:
-                log_gaps[pos - 2] = max(log_eps, _LOG_FLOOR)
-            # gap up to the next odd value n+1 is 1 - eps_n
-            if pos - 1 < M - 1:
-                log_gaps[pos - 1] = math.log1p(-eps) if eps < 1 else _LOG_FLOOR
+            log_eps = -float(n * n)
+        eps = math.exp(log_eps)
+        vals += [float(n), max(n + eps, math.nextafter(float(n), math.inf))]
+        # the gap up to the next odd value n + 1 is 1 - eps_n
+        log_gaps += [log_eps, math.log1p(-eps)]
     kind = "interleave-expexp2" if double_exponential else "interleave-exp2"
-    if M < 2:
-        return Frequency(vals, generator=kind)
-    return Frequency(vals, generator=kind, log_gaps=log_gaps)
+    return Frequency(
+        vals[:M], generator=kind, log_gaps=log_gaps[: M - 1] if M > 1 else None
+    )
 
 
 def make_frequency(kind: str, M: int, params: Optional[Sequence[float]] = None) -> Frequency:
@@ -384,7 +371,7 @@ def refine_gaps(freq: Frequency) -> Frequency:
     bisect the remaining gap, which lies in (1, 2], at its midpoint.
     """
     vals = freq.values
-    if freq.M < 2 or bool(np.all(np.diff(vals) <= 1.0)):
+    if bool(np.all(np.diff(vals) <= 1.0)):
         return freq
     out = [float(vals[0])]
     for a, b in zip(vals[:-1], vals[1:]):

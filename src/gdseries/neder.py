@@ -23,6 +23,7 @@ and exempted from the divergence contract, whose proof needs the full r.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -183,15 +184,12 @@ def neder_construct(
     lam = base.values
     gaps = base.gaps
     block_ids = np.floor(lam).astype(int)
-    sizes: Dict[int, int] = {}
-    for k in block_ids:
-        sizes[int(k)] = sizes.get(int(k), 0) + 1
+    sizes: Dict[int, int] = dict(Counter(block_ids.tolist()))
     block_b = {k: math.exp(-x * k) / sz for k, sz in sizes.items()}
 
     entries: List[NederEntry] = []
     pieces: List[np.ndarray] = []
     coeff_pieces: List[np.ndarray] = []
-    block_pieces: List[np.ndarray] = []
     used = 0
     for i in range(base.M - 1):
         n = i + 1
@@ -222,12 +220,10 @@ def neder_construct(
         )
         pieces.append(pts)
         coeff_pieces.append(cs)
-        block_pieces.append(np.full(2 * r, k, dtype=int))
         used += 2 * r
     # the final base point closes the range; nothing subdivides past it
     pieces.append(np.array([float(lam[-1])]))
     coeff_pieces.append(np.zeros(1, dtype=complex))
-    block_pieces.append(np.array([int(block_ids[-1])]))
 
     # a gap too small for 2r distinct floats repeats a point, which Frequency rejects
     eta = Frequency(np.concatenate(pieces), generator=f"neder:{base.generator}")
@@ -240,7 +236,7 @@ def neder_construct(
         entries=tuple(entries),
         eta=eta,
         coeffs=np.concatenate(coeff_pieces),
-        point_block=np.concatenate(block_pieces),
+        point_block=np.repeat(block_ids, [2 * e.r for e in entries] + [1]),
     )
 
 
@@ -307,7 +303,7 @@ def fejer_identity_residual(c: NederConstruction, K: int, s_values: Sequence[com
     worst = 0.0
     for s in s_values:
         s = complex(s)
-        direct = 0j if DK is None else evaluate(DK, s)
+        direct = evaluate(DK, s)
         fejer = 0j
         for e in c.entries:
             if e.k > K:

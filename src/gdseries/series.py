@@ -86,7 +86,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union

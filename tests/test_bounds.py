@@ -192,6 +192,14 @@ def test_hardy_needs_next_frequency():
         hardy_check(D, 4, 0.5)
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0])
+def test_hardy_weights_below_1e300_are_exact(k):
+    # on [0, lambda_2] = [0, 1e-305] the sup of |a_1| x^k is 1e-305k, so rhs is
+    # exactly 3; a weight floored at 1e-300 would make it 3e5 at k = 1
+    D = DirichletSeries(Frequency([0.0, 1e-305, 1.0]), np.ones(3, dtype=complex))
+    assert hardy_check(D, 1, k) == (1.0, pytest.approx(3.0, rel=1e-12))
+
+
 def _unsettled_hardy_series(M: int) -> DirichletSeries:
     """sum_{lambda_n < x} a_n (x - lambda_n)^(1/4) = x^(1/4) - 2^(1/4) (x - c)^(1/4) on [0, 1].
 

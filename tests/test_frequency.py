@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,49 @@ def test_check_bc_log_holds():
     assert np.isfinite(rep.infimum_log_constant)
 
 
+def _interleaved_by_position(M, double_exponential):
+    # the construction one position at a time, with a branch on parity, as a
+    # bit-for-bit reference for make_frequency's loop over (n, n + eps_n) pairs
+    floor = -sys.float_info.max
+    vals = np.empty(M)
+    log_gaps = np.empty(max(M - 1, 0))
+    for pos in range(1, M + 1):
+        n = (pos + 1) // 2
+        if pos % 2 == 1:
+            vals[pos - 1] = float(n)
+            continue
+        if double_exponential:
+            inner = math.exp(float(n * n)) if n * n < 709 else math.inf
+            eps = math.exp(-inner) if math.isfinite(inner) else 0.0
+            log_eps = -inner if math.isfinite(inner) else floor
+        else:
+            eps = math.exp(-float(n * n))
+            log_eps = -float(n * n)
+        target = n + eps
+        if target <= n:
+            target = np.nextafter(float(n), math.inf)
+        vals[pos - 1] = target
+        log_gaps[pos - 2] = max(log_eps, floor)
+        if pos - 1 < M - 1:
+            log_gaps[pos - 1] = math.log1p(-eps) if eps < 1 else floor
+    return vals, log_gaps
+
+
+@pytest.mark.parametrize("kind", ["interleave-exp2", "interleave-expexp2"])
+def test_interleaved_pairs_keep_the_position_loop_bits(kind):
+    # odd and even M, M = 1 (no log-gaps), the one-ulp nudge from n = 7 on, and
+    # for expexp2 the eps = 0 floor from n = 27 on, that is from M = 54
+    for M in list(range(1, 61)) + [10_000, 10_001]:
+        want_vals, want_gaps = _interleaved_by_position(M, kind == "interleave-expexp2")
+        freq = make_frequency(kind, M)
+        assert freq.generator == kind
+        assert freq.values.tobytes() == want_vals.tobytes(), M
+        if M == 1:
+            assert freq.log_gaps is None
+        else:
+            assert freq.log_gaps.tobytes() == want_gaps.tobytes(), M
+
+
 def test_check_bc_interleave_fails():
     rep = check_bc(make_frequency("interleave-exp2", 100), l=1.0, delta=0.1)
     assert rep.verdict == "evidence-against"
@@ -171,6 +215,9 @@ def test_refine_gaps_noop_when_already_fine():
     freq = make_frequency("log", 30)
     fine = refine_gaps(freq)
     assert fine.M == freq.M
+    # one point has no gap to refine
+    single = Frequency([2.5])
+    assert refine_gaps(single) is single
 
 
 def test_read_frequency_file_roundtrip(tmp_path):

@@ -168,6 +168,21 @@ def test_bases_with_a_gap_above_one_are_refined_first():
         assert all(r.passed for r in rows if not r.exempt)
 
 
+@pytest.mark.parametrize("r_cap, budget", [(1, 10_000), (3, 10_000), (None, 2), (None, 7)])
+@pytest.mark.parametrize("values", [np.arange(1.0, 9.0), [0.0, 0.5, 3.2, 4.0, 6.5]])
+def test_point_block_and_block_sizes_follow_the_refined_base(values, r_cap, budget):
+    # caps and budgets that bind, on a base of unit gaps and on one that gets
+    # refined into blocks of two points
+    c = neder_construct(Frequency(values), 0.25, r_cap=r_cap, point_budget=budget)
+    assert any(e.cap_applied for e in c.entries)
+    floors = [math.floor(v) for v in c.base.values]
+    want = [e.k for e in c.entries for _ in range(2 * e.r)] + [floors[-1]]
+    assert c.point_block.tolist() == want
+    assert c.point_block.size == c.eta.M
+    assert c.block_sizes == {k: floors.count(k) for k in floors}
+    assert list(c.block_sizes) == sorted(set(floors))
+
+
 def test_point_budget_caps_and_exempts():
     c = neder_construct(base_integers(), 0.25, point_budget=120)
     assert any(e.cap_applied for e in c.entries)
