@@ -36,8 +36,8 @@ from .frequency import (
     make_frequency,
 )
 from .neder import (
+    _fejer_sups,
     fejer_identity_residual,
-    fejer_sup,
     fejer_sup_max,
     neder_cauchy_check,
     neder_construct,
@@ -336,7 +336,7 @@ def criterion_11(seed: int) -> Tuple[bool, str]:
             parts.append(f"cauchy {observed:.4f} <= {bound:.4f}")
         parts.append(f"x={x}: div ok, fejer {resid:.1e}")
     c_obs = fejer_sup_max()
-    sups = [fejer_sup(m) for m in range(1, 65)]
+    sups = _fejer_sups(range(1, 65))
     ok &= abs(c_obs - GOLDEN_C_OBS) <= 1e-9 and max(sups) <= c_obs <= 4.0
     parts.append(f"C_obs={c_obs:.4f}")
     return bool(ok), "; ".join(parts)

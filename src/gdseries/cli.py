@@ -281,6 +281,13 @@ def _bound_profile(cfg):
     return prof, (("N", "ratio"), list(prof.csv_rows()))
 
 
+def _finite_sn(bound: bounds.SnBound) -> bounds.SnBound:
+    """The bound, or OverflowError when its value e^logFactor overflows to inf."""
+    if not math.isfinite(bound.value):
+        raise OverflowError(f"e^{bound.log_factor:g}")
+    return bound
+
+
 def _bound_hardy(cfg):
     lhs, rhs = bounds.hardy_check(cfg.series(), cfg.n_index, cfg.k)
     return {"N": cfg.n_index, "k": cfg.k, "lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs + 1e-12}
@@ -443,9 +450,9 @@ _REGISTRY = (
     Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
            (_flag("--k", _finite, 1.0),), _riesz_constants),
     Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
-           lambda cfg: bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant)),
+           lambda cfg: _finite_sn(bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant))),
     Action("bound", "sn-opt", "freq", ("bounds.sn_bound_optimal",), (N_INDEX, VARIANT),
-           lambda cfg: bounds.sn_bound_optimal(cfg.frequency(), cfg.n_index, cfg.variant)),
+           lambda cfg: _finite_sn(bounds.sn_bound_optimal(cfg.frequency(), cfg.n_index, cfg.variant))),
     Action("bound", "profile", "freq", ("bounds.theorem_bound_profile",),
            (_flag("--regime", None, required=True, choices=("bc", "lc", "poly")),
             _flag("--delta"), _flag("--d"), VARIANT,

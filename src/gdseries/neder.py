@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .frequency import Frequency, refine_gaps
-from .series import DirichletSeries, LineGrid, evaluate, line_sup_report
+from .series import DirichletSeries, LineGrid, _phase_sum, evaluate, line_sup_report
 
 __all__ = [
     "FejerPolynomial",
@@ -85,38 +85,30 @@ def fejer_polynomial(m: int) -> FejerPolynomial:
     return FejerPolynomial(m=m, coeffs=coeffs)
 
 
-_circle_powers_table = np.empty((_CIRCLE_POINTS, 0), dtype=complex)
+def _power_block(z: np.ndarray, js: np.ndarray, phase: np.ndarray) -> None:
+    """Fill phase with z^j in place, by the integer powers of np.power.outer."""
+    np.power.outer(z, js, out=phase)
 
 
-def _circle_powers(n: int) -> np.ndarray:
-    """z^j for the fejer_sup circle points z (rows) and j = 1..n (columns).
-
-    A read-only view of one table, built on first use with 2 * _FEJER_M_MAX - 1
-    columns and replaced by a wider one only when a larger n is asked for (the
-    process then keeps the widest table).  Each entry is computed on its own,
-    so a column is the same whatever the table's width, and ``view @ coeffs``
-    equals ``eval_many`` on the circle bit for bit.
-    """
-    global _circle_powers_table
-    if _circle_powers_table.shape[1] < n:
-        theta = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
-        js = np.arange(1, max(n, 2 * _FEJER_M_MAX - 1) + 1)
-        _circle_powers_table = np.power.outer(np.exp(1j * theta), js)
-        _circle_powers_table.setflags(write=False)
-    return _circle_powers_table[:, :n]
+def _fejer_sups(ms: Sequence[int]) -> List[float]:
+    """fejer_sup(m) for every m of ms from one kernel pass over blocks of z^j:
+    each m's GEMV reads their first 2m - 1 columns, the bits of m alone."""
+    amps = [fejer_polynomial(m).coeffs for m in ms]
+    theta = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
+    rows = _phase_sum(np.exp(1j * theta), np.arange(1, 2 * max(ms)), amps, _power_block)
+    return [float(np.max(np.abs(row))) for row in rows]
 
 
 def fejer_sup(m: int) -> float:
     """Max of |F_m| over 4096 equispaced points of the unit circle (the circle
     is enough, by the maximum principle)."""
-    poly = fejer_polynomial(m)
-    return float(np.max(np.abs(_circle_powers(2 * m - 1) @ poly.coeffs)))
+    return _fejer_sups([m])[0]
 
 
 @lru_cache(maxsize=1)
 def fejer_sup_max() -> float:
     """max_{m <= 64} fejer_sup(m): the observed uniform Fejer constant."""
-    return max(fejer_sup(m) for m in range(1, _FEJER_M_MAX + 1))
+    return max(_fejer_sups(range(1, _FEJER_M_MAX + 1)))
 
 
 def _strict_floor(y: float) -> float:

@@ -23,11 +23,10 @@ block in place with cos(t lambda) and -sin(t lambda): the bits the complex exp
 gives at z = 1j * t, at about three quarters of its cost.  General points
 (Perron, coefficient recovery, the self reference) keep the complex exp of
 ``_exp_block``: split the same way, its real part would run numpy's vectorized
-float exp, whose bits differ from the complex exp's.  Hardy's weight rows
-sum_n a_n (x - lambda_n)_+^k in ``bounds`` are cast into the same blocks.  The
-blocks of one call are striped over ``_WORKERS`` threads, one per core the
-process may run on (at most 8): worker w builds blocks w, w + W, ... in one
-reused buffer, and the calling thread is worker 0.
+float exp, whose bits differ from the complex exp's.  The blocks of one call
+are striped over ``_WORKERS`` threads, one per core the process may run on
+(at most 8): worker w builds blocks w, w + W, ... in one reused buffer, and
+the calling thread is worker 0.
 numpy releases the interpreter lock inside its ufuncs and the GEMV, so the
 workers run in parallel.  This is bit-safe: a block is built by the same
 ufunc loops whatever its rows, and each value is one GEMV row of a block of at
@@ -39,8 +38,9 @@ which gives the bits of a block built over the prefix alone.  The partial-sum
 fold ``_partial_sup_profile`` folds the same blocks in place into the grid sup
 of |S_N| for every N, which the sigma_u and Delta estimators of ``bounds``
 read.
-No other module builds phase blocks, starts kernel threads or weights
-coefficients by e^{-lambda sigma} for a line sup.
+``bounds`` and ``neder`` pass fills (Hardy's weights, the Fejer powers z^j)
+to ``_phase_sum``, but only this module sizes phase blocks and starts kernel
+threads or weights coefficients by e^{-lambda sigma} for a line sup.
 
 A line (c, sigma) is a coefficient row over the first len(c) frequencies of one
 series, on Re s = sigma: a partial sum, a Riesz truncation, a sigma-level or a

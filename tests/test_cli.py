@@ -318,6 +318,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "recover", "--kind", "linear", "--n", "4", "--n-index", "2", "--sigma", "1000"],
         # overflows
         ["riesz", "constants", "--k", "1e-320"],
+        ["bound", "sn", "--kind", "interleave-exp2", "--n", "60", "--n-index", "59", "--k", "1"],
         ["perron", "required-t", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1e-3", "--epsilon", "0.5",
          "--tau", "1e-3"],
         ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1000", "--k", "1", "--epsilon", "1",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from gdseries import (
     refine_gaps,
 )
 from gdseries import neder as neder_module
-from gdseries.neder import _strict_floor
+from gdseries import series as series_module
+from gdseries.neder import _fejer_sups, _strict_floor
 
 
 def base_integers():
@@ -86,16 +88,34 @@ def _circle_sup(m):
     return float(np.max(np.abs(fejer_polynomial(m).eval_many(np.exp(1j * theta)))))
 
 
-def test_fejer_sup_equals_eval_many_bit_for_bit():
-    # fejer_sup reads prefix columns of one cached power table; m = 65 and 100
-    # need more columns than the table is first built with, and m = 300 then
-    # replaces it with a wider one, which must not change any value
+def test_fejer_sup_equals_eval_many_bit_for_bit(monkeypatch):
+    # each m's GEMV reads the first 2m - 1 columns of the kernel's blocks of
+    # z^j, which must give eval_many's bits whatever the worker count, the
+    # block rows (fewer for m = 100 and 300) or the other m of the same pass;
+    # a wide pass (m = 300) leaves nothing behind that changes a later value
     ms = list(range(1, 65)) + [65, 100]
     expected = [_circle_sup(m) for m in ms]
-    assert [fejer_sup(m) for m in ms] == expected
-    fejer_sup(300)
-    assert [fejer_sup(m) for m in ms] == expected
-    assert fejer_sup_max() == 3.6546588850074464
+    for workers in (1, 3):
+        monkeypatch.setattr(series_module, "_WORKERS", workers)
+        assert [fejer_sup(m) for m in ms] == expected
+        assert _fejer_sups(ms) == expected
+        fejer_sup(300)
+        assert [fejer_sup(m) for m in ms] == expected
+        fejer_sup_max.cache_clear()
+        assert fejer_sup_max() == 3.6546588850074464
+
+
+def test_fejer_sup_memory_is_the_kernel_blocks(monkeypatch):
+    # z^j for j < 2048 over 4096 points is a 134 MB table; the kernel holds one
+    # block of 32 rows (1 MiB) per worker, and 8 workers is the most it starts
+    monkeypatch.setattr(series_module, "_WORKERS", 8)
+    tracemalloc.start()
+    try:
+        fejer_sup(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_construction_r_values_for_unit_blocks():
