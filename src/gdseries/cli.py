@@ -5,8 +5,8 @@ riesz, bound, abscissa, perron, neder, suite}.  JSON (sorted keys) is the
 canonical output; ``--format csv`` is accepted only for two-column tables
 (profiles, ratio sequences) and for the coefficient file format itself.
 Exit codes: 0 success, 1 failed check in a suite run, 2 usage error, bad
-input or an array too large to allocate (``error: ...`` on stderr, nothing on
-stdout).
+input, an array too large to allocate or a result that is not a finite
+number (``error: ...`` on stderr, nothing on stdout).
 
 Each action is declared once, by one ``Action`` entry in the registry below:
 the library operations it owns, its input source (none, a frequency or a
@@ -281,13 +281,6 @@ def _bound_profile(cfg):
     return prof, (("N", "ratio"), list(prof.csv_rows()))
 
 
-def _finite_sn(bound: bounds.SnBound) -> bounds.SnBound:
-    """The bound, or OverflowError when its value e^logFactor overflows to inf."""
-    if not math.isfinite(bound.value):
-        raise OverflowError(f"e^{bound.log_factor:g}")
-    return bound
-
-
 def _bound_hardy(cfg):
     lhs, rhs = bounds.hardy_check(cfg.series(), cfg.n_index, cfg.k)
     return {"N": cfg.n_index, "k": cfg.k, "lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs + 1e-12}
@@ -450,9 +443,9 @@ _REGISTRY = (
     Action("riesz", "constants", None, ("riesz.c_exact", "riesz.paper_constant", "riesz.proof_integral"),
            (_flag("--k", _finite, 1.0),), _riesz_constants),
     Action("bound", "sn", "freq", ("bounds.sn_bound",), (N_INDEX, K, VARIANT),
-           lambda cfg: _finite_sn(bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant))),
+           lambda cfg: bounds.sn_bound(cfg.frequency(), cfg.n_index, cfg.k, cfg.variant)),
     Action("bound", "sn-opt", "freq", ("bounds.sn_bound_optimal",), (N_INDEX, VARIANT),
-           lambda cfg: _finite_sn(bounds.sn_bound_optimal(cfg.frequency(), cfg.n_index, cfg.variant))),
+           lambda cfg: bounds.sn_bound_optimal(cfg.frequency(), cfg.n_index, cfg.variant)),
     Action("bound", "profile", "freq", ("bounds.theorem_bound_profile",),
            (_flag("--regime", None, required=True, choices=("bc", "lc", "poly")),
             _flag("--delta"), _flag("--d"), VARIANT,
@@ -593,7 +586,8 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _render_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a nan or inf anywhere raises ValueError before any output
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(table) -> str:

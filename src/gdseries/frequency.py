@@ -368,24 +368,29 @@ def refine_gaps(freq: Frequency) -> Frequency:
 
     Two stages per oversized gap (a, b): with l the smallest natural number
     >= b - a, first insert a+1, ..., a+l-2 when l >= 3 (unit steps), then
-    bisect the remaining gap, which lies in (1, 2], at its midpoint.
+    bisect the remaining gap, which lies in (1, 2], at its midpoint.  The
+    output (at most l - 1 new points a gap) is allocated first, so a gap no
+    array holds raises at once; gaps up to ~1e8 fill a point per loop step.
     """
     vals = freq.values
-    if bool(np.all(np.diff(vals) <= 1.0)):
+    gaps = np.diff(vals)
+    if bool(np.all(gaps <= 1.0)):
         return freq
-    out = [float(vals[0])]
-    for a, b in zip(vals[:-1], vals[1:]):
-        gap = b - a
+    out = np.empty(vals.size + int(np.sum(np.ceil(gaps) - 1.0)))  # ceil(gap) - 1 is 0 on a gap <= 1
+    out[0] = last = float(vals[0])
+    k = 1
+    for a, b, gap in zip(vals[:-1], vals[1:], gaps):
         if gap > 1.0:
-            l = math.ceil(gap)
-            for j in range(1, l - 1):
+            for j in range(1, math.ceil(gap) - 1):
                 step = float(a) + j
                 # a + j can round up across a power of two; stay within 1
-                while step - out[-1] > 1.0:
+                while step - last > 1.0:
                     step = math.nextafter(step, -math.inf)
-                out.append(step)
-            last = out[-1]
+                out[k] = last = step
+                k += 1
             if b - last > 1.0:
-                out.append((last + float(b)) / 2.0)
-        out.append(float(b))
-    return Frequency(np.asarray(out), generator=f"refined:{freq.generator}")
+                out[k] = (last + float(b)) / 2.0
+                k += 1
+        out[k] = last = float(b)
+        k += 1
+    return Frequency(out[:k], generator=f"refined:{freq.generator}")

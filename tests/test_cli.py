@@ -140,11 +140,15 @@ def _digest(out: str) -> str:
     return hashlib.sha256(_CERT.sub(r"\1*", out).encode()).hexdigest()
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("key", sorted(ARGV), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_action_runs_and_emits_json(key, capsys):
     assert run(ARGV[key]) == 0
     out = capsys.readouterr().out
-    json.loads(out)  # canonical JSON on stdout
+    json.loads(out, parse_constant=_no_constant)  # strict JSON on stdout
     assert _digest(out) == DIGESTS[f"{key[0]}-{key[1]} json"]
 
 
@@ -323,6 +327,16 @@ def test_domain_errors_exit_2(tmp_path, capsys):
          "--tau", "1e-3"],
         ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1000", "--k", "1", "--epsilon", "1",
          "--t-height", "10", "--quad-tol", "0.01"],
+        # results that are not finite numbers, which strict JSON cannot hold: a Perron
+        # tail at k = 0, an abscissa estimate with no ratio, profile rows with an infinite ratio
+        ["perron", "tail", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "0", "--t-height", "10"],
+        ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "0", "--epsilon", "0.5",
+         "--t-height", "200"],
+        ["perron", "check", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "0", "--epsilon", "0.5",
+         "--t-height", "200"],
+        ["abscissa", "sigma-c", "--kind", "linear", "--n", "2", "--coeffs", "alternating"],
+        ["abscissa", "sigma-u", "--kind", "linear", "--n", "1", "--grid-t-max", "5"],
+        ["bound", "profile", "--kind", "interleave-expexp2", "--n", "40", "--regime", "bc"],
         # the parameter a profile regime reads, as freq check-lc and check-poly refuse it
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "lc", "--delta", "0"],
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "poly", "--d", "-1"],
@@ -331,6 +345,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["series", "recover", "--kind", "linear", "--n", "4", "--n-index", "2", "--grid-step", "1e-12"],
         ["perron", "eval", "--kind", "linear", "--n", "2", "--x", "1.5", "--k", "1", "--epsilon", "0.5",
          "--t-height", "2000", "--step", "1e-12", "--quad-tol", "0.01"],
+        # a gap refined into more points than an array can hold
+        ["freq", "refine", "--kind", "custom-from-list", "--n", "2", "--params", "0", "1e300"],
     ]:
         _assert_exit_2(argv, capsys)
     # a mistyped tag that names no file lists the builtin tags

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,28 @@ def test_refine_gaps_unit_steps_stay_within_one_across_a_power_of_two(pair):
     fine = refine_gaps(Frequency(pair))
     assert np.max(np.diff(fine.values)) <= 1.0
     assert fine.values[0] == pair[0] and fine.values[-1] == pair[1]
+
+
+@pytest.mark.parametrize(
+    "vals, want",
+    [
+        ([0.0, 0.5, 3.7, 4.2, 9.05], [0.0, 0.5, 1.5, 2.5, 3.1, 3.7, 4.2, 5.2, 6.2, 7.2, 8.125, 9.05]),
+        ([0.25, 1.75], [0.25, 1.0, 1.75]),
+        # a + 1 rounds up across 2^14 and is nudged down by one ulp
+        ([16383.363038312678, 16385.63282502644],
+         [16383.363038312678, 16384.363038312677, 16384.99793166956, 16385.63282502644]),
+    ],
+)
+def test_refine_gaps_pinned_floats(vals, want):
+    assert refine_gaps(Frequency(vals)).values.tolist() == want
+
+
+def test_refine_gaps_refuses_a_gap_no_array_can_hold_at_once():
+    # the output is allocated before the first point is written
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dimension"):
+        refine_gaps(Frequency([0.0, 1e300]))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_refine_gaps_noop_when_already_fine():
