@@ -28,6 +28,7 @@ import numpy as np
 
 from .estimates import AbscissaEstimate, windowed_limsup
 from .frequency import Frequency, refine_gaps
+from .riesz import _check_order
 from .series import DirichletSeries, LineGrid, _partial_sup_profile, _phase_sum, _refine_max
 
 __all__ = [
@@ -54,17 +55,20 @@ _HARDY_ROUNDS = 12
 _HARDY_TOL = 1e-9
 
 
+def _check_variant(variant: str) -> None:
+    """The norm constants ``_log_c`` knows: the paper's small-k form and the exact one."""
+    if variant not in ("paper", "exact"):
+        raise ValueError(f"unknown constant variant {variant!r}")
+
+
 def _log_c(k: float, log_k: Optional[float], variant: str) -> float:
     """log of the norm constant c(k), with log k supplied symbolically.
 
     ``log_k`` defaults to log(k); passing it explicitly keeps tiny orders like
     k = e^{-delta lambda} exact after k itself underflows to zero.
     """
-    if variant not in ("paper", "exact"):
-        raise ValueError(f"unknown constant variant {variant!r}")
+    _check_variant(variant)
     if log_k is None:
-        if k <= 0:
-            raise ValueError("need k > 0")
         log_k = math.log(k)
     base = _LOG_E_OVER_PI + math.lgamma(1.0 + k) - log_k
     if variant == "paper":
@@ -96,10 +100,7 @@ def _log_ratio(freq: Frequency, N: int) -> float:
     """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor."""
     if not 1 <= N < freq.M:
         raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1))")
-    lam_next = float(freq.values[N])
-    if lam_next <= 0:
-        raise ValueError("need lambda_(N+1) > 0")
-    return math.log(lam_next) - float(freq.log_gap_values()[N - 1])
+    return math.log(float(freq.values[N])) - float(freq.log_gap_values()[N - 1])  # lambda_(N+1) > 0
 
 
 def _log_factor(k: float, log_ratio: float, variant: str, log_k: Optional[float] = None) -> float:
@@ -114,8 +115,7 @@ def sn_bound(freq: Frequency, N: int, k: float, variant: str = "paper") -> SnBou
     factor itself (may overflow to inf for extreme frequencies; ``log_factor``
     never does).
     """
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     log_factor = _log_factor(k, _log_ratio(freq, N), variant)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_factor))
@@ -153,7 +153,7 @@ def sn_bound_optimal(freq: Frequency, N: int, variant: str = "paper") -> SnBound
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = _log_factor(d, log_ratio, variant)
-        if b - a < 1e-12 * max(1.0, b):
+        if b - a < 1e-12:  # the bracket lies in (0, 1]
             break
     k_best = (a + b) / 2.0
     best = sn_bound(freq, N, k_best, variant)
@@ -206,10 +206,8 @@ def _regime_log_k_and_envelope(
     if regime == "lc":
         delta = params["delta"]
         return -delta * lam, delta * lam
-    if regime == "poly":
-        d = params["d"]
-        return -d * math.log(lam), d * math.log(lam)
-    raise ValueError(f"unknown regime {regime!r}")
+    d = params["d"]  # poly
+    return -d * math.log(lam), d * math.log(lam)
 
 
 def theorem_bound_profile(
@@ -230,6 +228,9 @@ def theorem_bound_profile(
     the bound is monotone under gap refinement while the envelope is not.
     ``Ns`` may be a slice; a missing start or step is 1, a missing stop the refined M.
     """
+    if regime not in ("bc", "lc", "poly"):
+        raise ValueError(f"unknown regime {regime!r}")
+    _check_variant(variant)
     params = dict(params or {})
     for name, key in (("lc", "delta"), ("poly", "d")):
         if regime == name and not params.get(key, 0.0) > 0:
@@ -305,7 +306,7 @@ def delta_sequence_estimate(
 ) -> AbscissaEstimate:
     """Windowed limsup over a family sharing one frequency.
 
-    Member j contributes max over the final-third N of
+    Member j contributes the windowed-limsup estimate (the final-third max) of
     log sup_t |S_N^{(j)}(it)| / lambda_N; the family-level windowed limsup of
     those is the Delta estimate.  The members share each phase block.
     """
@@ -317,14 +318,8 @@ def delta_sequence_estimate(
             raise ValueError("family members must share one frequency")
     line = LineGrid(0.0, grid.t_min, grid.t_max, grid.step)
     profiles = _partial_sup_profile(family[0], line, np.array([D.coeffs for D in family]))
-    pairs = []
-    for j, sups in enumerate(profiles, start=1):
-        ratios = [r for _, r in _log_ratios(base, sups)]
-        if not ratios:
-            continue
-        w = max(1, math.ceil(len(ratios) / 3))
-        pairs.append((j, max(ratios[-w:])))
-    return windowed_limsup("Delta", pairs)
+    members = [windowed_limsup("Delta", _log_ratios(base, sups)) for sups in profiles]
+    return windowed_limsup("Delta", [(j, m.estimate) for j, m in enumerate(members, start=1) if m.ratios])
 
 
 def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
@@ -340,8 +335,7 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     strict side.  The inequality holds for every choice of the first N
     coefficients, which makes it a good property-test target.
     """
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     if not 1 <= N < D.M:
         raise ValueError(f"need 1 <= N < M = {D.M} (the window ends at lambda_(N+1))")
     lhs = abs(complex(np.sum(D.coeffs[:N])))

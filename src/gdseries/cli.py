@@ -592,6 +592,9 @@ def _render_json(payload: Any) -> str:
 
 def _render_csv(table) -> str:
     header, rows = table
+    bad = [cell for row in rows for cell in row if not math.isfinite(cell)]
+    if bad:  # JSON's strict-number rule: a nan or inf cell raises ValueError before any output
+        raise ValueError(f"Out of range float values are not allowed in CSV: {float(bad[0])}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

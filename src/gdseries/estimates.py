@@ -57,14 +57,14 @@ def windowed_limsup(
     compares the maxima of three consecutive chunks ``m1, m2, m3``:
     divergent when both transitions grow by more than ``GROWTH_TOL``
     (relative to the largest magnitude), convergent when the last transition
-    does not grow, inconclusive otherwise or when fewer than 3 pairs exist.
+    does not grow, inconclusive otherwise or below 3 pairs (from 3 on, no chunk is empty).
     """
     clean = tuple((int(i), float(r)) for i, r in pairs)
     if not clean:
         return AbscissaEstimate(which, (), float("-inf"), 0, "inconclusive")
 
     n = len(clean)
-    w = max(1, math.ceil(n / 3))
+    w = math.ceil(n / 3)
     estimate = max(r for _, r in clean[n - w :])
     if n < 3:
         return AbscissaEstimate(which, clean, estimate, w, "inconclusive")
@@ -72,7 +72,7 @@ def windowed_limsup(
     mid_lo = max(1, n - 2 * w)
     hi = n - w
     m1 = max(r for _, r in clean[:mid_lo])
-    m2 = max(r for _, r in clean[mid_lo:hi]) if hi > mid_lo else m1
+    m2 = max(r for _, r in clean[mid_lo:hi])
     m3 = estimate
     scale = max(abs(m1), abs(m2), abs(m3), 1e-12)
     g_first = (m2 - m1) / scale

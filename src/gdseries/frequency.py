@@ -155,9 +155,7 @@ class ConditionReport:
 
 
 def _first_primes(m: int) -> np.ndarray:
-    """The first ``m`` primes via a deterministic sieve."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    """The first ``m >= 1`` primes via a deterministic sieve."""
     # one pass suffices: p_m < m (log m + log log m) for m >= 6 (Rosser &
     # Schoenfeld, Illinois J. Math. 6, 1962), and p_5 = 11 < 13
     if m < 6:
@@ -252,17 +250,14 @@ def read_frequency_file(path) -> Frequency:
 
 
 def _tail_slope(run_min: np.ndarray) -> float:
-    """Least-squares slope of the final third of a running-minimum sequence."""
-    n = run_min.size
-    w = max(2, math.ceil(n / 3))
+    """Least-squares slope of the final third (3 or more finite values) of a running minimum."""
+    w = math.ceil(run_min.size / 3)
     tail = np.asarray(run_min[-w:], dtype=float)
-    lo = float(np.min(tail))
-    hi = float(np.max(tail))
+    hi, lo = float(tail[0]), float(tail[-1])  # a running minimum never rises
     if hi == lo:
         return 0.0
-    if not math.isfinite(lo) or hi - lo > 1e300:
-        # magnitudes near the float ceiling: the direction is unambiguous
-        return math.inf if tail[-1] > tail[0] else -math.inf
+    if hi - lo > 1e300:
+        return -math.inf  # magnitudes near the float ceiling
     xs = np.arange(w, dtype=float)
     xs -= xs.mean()
     ys = tail - tail.mean()
@@ -371,6 +366,7 @@ def refine_gaps(freq: Frequency) -> Frequency:
     bisect the remaining gap, which lies in (1, 2], at its midpoint.  The
     output (at most l - 1 new points a gap) is allocated first, so a gap no
     array holds raises at once; gaps up to ~1e8 fill a point per loop step.
+    An oversized gap ending above 2^53 raises ValueError naming the gap.
     """
     vals = freq.values
     gaps = np.diff(vals)
@@ -379,8 +375,10 @@ def refine_gaps(freq: Frequency) -> Frequency:
     out = np.empty(vals.size + int(np.sum(np.ceil(gaps) - 1.0)))  # ceil(gap) - 1 is 0 on a gap <= 1
     out[0] = last = float(vals[0])
     k = 1
-    for a, b, gap in zip(vals[:-1], vals[1:], gaps):
+    for i, (a, b, gap) in enumerate(zip(vals[:-1], vals[1:], gaps), start=1):
         if gap > 1.0:
+            if b - math.nextafter(b, -math.inf) > 1.0:  # above 2^53 no float lies within 1 below b
+                raise ValueError(f"gap {i} -> {i + 1} ({float(a)!r} -> {float(b)!r}) cannot be refined to length <= 1")
             for j in range(1, math.ceil(gap) - 1):
                 step = float(a) + j
                 # a + j can round up across a power of two; stay within 1

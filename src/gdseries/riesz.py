@@ -61,6 +61,12 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
+def _check_order(k: float) -> None:
+    """The mean orders the norm constants and bounds take: 0 < k <= 1."""
+    if not 0 < k <= 1:
+        raise ValueError("need 0 < k <= 1")
+
+
 def riesz_mean(D: DirichletSeries, k: float, x: float, s: complex = 0j) -> complex:
     """R_x^k(D)(s) = sum_{lambda_n < x} a_n (1 - lambda_n/x)^k e^{-lambda_n s}.
 
@@ -116,8 +122,7 @@ def check_abel_integral(D: DirichletSeries, k: float, x: float) -> float:
 
     Requires 0 < k <= 1 and x not equal to any lambda_n (A^0 jumps there).
     """
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     if x <= 0:
         raise ValueError("need x > 0")
     lam = D.freq.values
@@ -164,14 +169,12 @@ def check_fractional_identity(
     )
     pts = [u for u in pts if 0.0 < u < upper]
 
-    def integrand(u: float, part: int) -> float:
-        val = typical_mean_A(D, k, w, t - u**p)
-        return val.real if part == 0 else val.imag
+    def integrand(u: float) -> complex:
+        return typical_mean_A(D, k, w, t - u**p)
 
     eps = min(quad_tol * 1e-2, 1e-10)
-    re, _ = quad(integrand, 0.0, upper, args=(0,), points=pts, limit=400, epsabs=eps, epsrel=1e-11)
-    im, _ = quad(integrand, 0.0, upper, args=(1,), points=pts, limit=400, epsabs=eps, epsrel=1e-11)
-    rhs = p * (re + 1j * im)
+    val, _ = quad(integrand, 0.0, upper, points=pts, limit=400, epsabs=eps, epsrel=1e-11, complex_func=True)
+    rhs = p * val
     return float(abs(lhs - rhs))
 
 
@@ -235,8 +238,7 @@ def sigma_u_k_estimate(
     The norm is the line sup at sigma = 0 over the grid's t-window.  Pairs are
     indexed by position in ``xs``; lengths that select no term are skipped.
     """
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     xs = [float(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be increasing")
@@ -254,8 +256,7 @@ def sigma_u_k_estimate(
 
 def proof_integral(k: float) -> float:
     """Quadrature of int_0^inf (1 + u^2)^(-(1+k)/2) du (independent route)."""
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     val, _ = quad(lambda u: (1.0 + u * u) ** (-(1.0 + k) / 2.0), 0.0, np.inf, limit=400)
     return float(val)
 
@@ -266,8 +267,7 @@ def c_exact(k: float) -> float:
     The integral equals (sqrt(pi)/2) Gamma(k/2) / Gamma((k+1)/2); at k = 1 the
     whole constant is e/2.
     """
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     return (
         (math.e / math.pi)
         * math.gamma(k + 1.0)
@@ -279,6 +279,5 @@ def c_exact(k: float) -> float:
 
 def paper_constant(k: float) -> float:
     """(e/pi) Gamma(k+1) / k: the small-k form, reported alongside c_exact."""
-    if not 0 < k <= 1:
-        raise ValueError("need 0 < k <= 1")
+    _check_order(k)
     return (math.e / math.pi) * math.gamma(k + 1.0) / k

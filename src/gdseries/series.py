@@ -629,23 +629,28 @@ _COEFF_TAGS = ("ones", "alternating", "inverse-square")
 _TAG_NAMES = ", ".join(_COEFF_TAGS + ("seeded-normal[:SEED]",))
 
 
+def _is_coeff_tag(spec) -> bool:
+    """Whether ``spec`` is a builtin coefficient tag; a SEED is decimal digits."""
+    head, colon, seed = spec.partition(":") if isinstance(spec, str) else ("", "", "")
+    return spec in _COEFF_TAGS or head == "seeded-normal" and (not colon or seed.isdecimal())
+
+
 def builtin_coefficients(tag: str, M: int, seed: Optional[int] = None) -> np.ndarray:
     """Coefficient families by tag: ones, alternating, inverse-square,
     or ``seeded-normal[:SEED]`` (complex standard normal, reproducible)."""
+    if not _is_coeff_tag(tag):
+        raise ValueError(f"unknown coefficient tag {tag!r}; expected one of {_TAG_NAMES}")
     if tag == "ones":
         return np.ones(M, dtype=complex)
     if tag == "alternating":
         return np.asarray([(-1.0) ** n for n in range(1, M + 1)], dtype=complex)
     if tag == "inverse-square":
         return np.asarray([1.0 / n**2 for n in range(1, M + 1)], dtype=complex)
-    if tag.startswith("seeded-normal"):
-        if ":" in tag:
-            seed = int(tag.split(":", 1)[1])
-        if seed is None:
-            raise ValueError("seeded-normal needs a seed (tag suffix or --seed)")
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    raise ValueError(f"unknown coefficient tag {tag!r}; expected one of {_TAG_NAMES}")
+    seed = int(tag.partition(":")[2]) if ":" in tag else seed
+    if seed is None:
+        raise ValueError("seeded-normal needs a seed (tag suffix or --seed)")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(M) + 1j * rng.standard_normal(M)
 
 
 def _frequency_from(spec, m: Optional[int] = None) -> Frequency:
@@ -694,7 +699,7 @@ def series_from_descriptor(
     if not shaped or not isinstance(descriptor["coefficients"], (str, Path)):
         raise ValueError("a descriptor is {'frequency': ..., 'coefficients': <tag or path>} and nothing else")
     cspec = descriptor["coefficients"]
-    tag = isinstance(cspec, str) and (cspec in _COEFF_TAGS or cspec.partition(":")[0] == "seeded-normal")
+    tag = _is_coeff_tag(cspec)
     if isinstance(cspec, str) and not tag and not Path(cspec).exists():
         raise ValueError(f"coefficients {cspec!r} are neither a file nor a builtin tag ({_TAG_NAMES})")
     coeffs = None if tag else read_coefficients_csv(cspec)

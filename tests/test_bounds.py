@@ -172,6 +172,14 @@ def test_profile_rejects_unknown_regime():
         theorem_bound_profile(make_frequency("log", 20), "abc", {})
 
 
+@pytest.mark.parametrize("regime, variant, message",
+                         [("abc", "paper", "unknown regime 'abc'"), ("bc", "abc", "unknown constant variant 'abc'")])
+def test_profile_rejects_an_unknown_regime_or_variant_before_any_row(regime, variant, message):
+    # lambda_1 = log 1 = 0 gives no row, so only an up-front check can see the name
+    with pytest.raises(ValueError, match=message):
+        theorem_bound_profile(make_frequency("log", 5), regime, {}, Ns=[1], variant=variant)
+
+
 def test_profile_csv_rows_are_two_columns():
     prof = theorem_bound_profile(make_frequency("log", 30), "bc", {}, Ns=[5, 10, 20])
     rows = list(prof.csv_rows())

@@ -337,6 +337,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ["abscissa", "sigma-c", "--kind", "linear", "--n", "2", "--coeffs", "alternating"],
         ["abscissa", "sigma-u", "--kind", "linear", "--n", "1", "--grid-t-max", "5"],
         ["bound", "profile", "--kind", "interleave-expexp2", "--n", "40", "--regime", "bc"],
+        ["bound", "profile", "--kind", "interleave-expexp2", "--n", "40", "--regime", "bc", "--format", "csv"],
         # the parameter a profile regime reads, as freq check-lc and check-poly refuse it
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "lc", "--delta", "0"],
         ["bound", "profile", "--kind", "log", "--n", "50", "--regime", "poly", "--d", "-1"],

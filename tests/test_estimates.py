@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,28 @@ def test_estimate_is_max_of_final_window(ratios):
     w = est.window_size
     assert w == math.ceil(len(ratios) / 3)
     assert est.estimate == max(r for _, r in pairs[-w:])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("shape", [lambda i: math.sin(3.0 * i) + 0.1 * i, lambda i: 1.0 / i, lambda i: math.cos(2.0 * i)],
+                         ids=["rising", "falling", "oscillating"])
+def test_window_rule_for_short_sequences(n, shape):
+    # the three chunks [:lo], [lo:n-w], [n-w:] of the trend, written out for each n
+    ratios = [shape(i) for i in range(1, n + 1)]
+    est = windowed_limsup("L", list(enumerate(ratios, start=1)))
+    w = math.ceil(n / 3)
+    assert (est.window_size, est.estimate) == (w, max(ratios[n - w :]))
+    if n < 3:
+        assert est.trend == "inconclusive"
+        return
+    lo = max(1, n - 2 * w)
+    m1, m2, m3 = max(ratios[:lo]), max(ratios[lo : n - w]), max(ratios[n - w :])
+    scale = max(abs(m1), abs(m2), abs(m3), 1e-12)
+    g_first, g_last = (m2 - m1) / scale, (m3 - m2) / scale
+    if g_last <= GROWTH_TOL:
+        assert est.trend == "convergent"
+    else:
+        assert est.trend == ("divergent" if g_first > GROWTH_TOL else "inconclusive")
 
 
 @settings(max_examples=60, deadline=None)

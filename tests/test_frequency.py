@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 
@@ -177,6 +178,16 @@ def test_check_lc_interleave_holds():
     assert rep.verdict == "evidence-for"
 
 
+def test_check_lc_reads_decaying_near_the_float_ceiling():
+    # the log-constants reach the clipped floor -1.8e308 within the final third, so the
+    # running minimum falls by more than 1e300 there: the slope reads -inf, with no warning
+    rep = check_lc(make_frequency("interleave-expexp2", 60), delta=0.5)
+    run_min = np.minimum.accumulate(rep.running_log_constants)
+    tail = run_min[-math.ceil(run_min.size / 3):]
+    assert tail[0] - tail[-1] > 1e300
+    assert (rep.trend, rep.verdict) == ("decaying", "evidence-against")
+
+
 def test_check_lc_rejects_bad_delta():
     with pytest.raises(ValueError):
         check_lc(make_frequency("log", 10), delta=0.0)
@@ -232,6 +243,19 @@ def test_refine_gaps_refuses_a_gap_no_array_can_hold_at_once():
     with pytest.raises(ValueError, match="dimension"):
         refine_gaps(Frequency([0.0, 1e300]))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "vals, gap",
+    [
+        ([9007199254740986.0, 9007199254740996.0], "gap 1 -> 2 (9007199254740986.0 -> 9007199254740996.0)"),
+        ([2.0**53 - 10, 2.0**53 - 9, 2.0**53 + 4], "gap 2 -> 3 (9007199254740983.0 -> 9007199254740996.0)"),
+    ],
+)
+def test_refine_gaps_names_the_input_gap_it_cannot_refine(vals, gap):
+    # above 2^53 the floats lie 2 apart, so no point can come within 1 of the gap's end
+    with pytest.raises(ValueError, match=re.escape(gap) + " cannot be refined"):
+        refine_gaps(Frequency(vals))
 
 
 def test_refine_gaps_noop_when_already_fine():

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -278,6 +279,16 @@ def test_seeded_normal_is_reproducible():
 def test_seeded_normal_without_seed_is_an_error():
     with pytest.raises(ValueError):
         builtin_coefficients("seeded-normal", 4)
+
+
+@pytest.mark.parametrize("tag", ["seeded-normalXYZ", "seeded-normal:abc", "seeded-normal:"])
+def test_builtin_coefficients_rejects_a_tag_the_descriptor_rejects(tag, tmp_path, monkeypatch):
+    # one tag rule for the library and for descriptors (and so the command line)
+    with pytest.raises(ValueError, match=re.escape(f"unknown coefficient tag {tag!r}; expected one of ones,")):
+        builtin_coefficients(tag, 3, seed=1)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="neither a file nor a builtin tag"):
+        series_from_descriptor({"frequency": {"kind": "linear", "m": 3}, "coefficients": tag})
 
 
 def test_coefficients_csv_roundtrip(tmp_path):
