@@ -18,7 +18,8 @@ uniform bound can be, since the order-1 means converge to the function itself.
 
 scipy is imported only when a quadrature runs.  ``quad`` below is a
 module-level function that imports ``scipy.integrate.quad`` on its first call
-and forwards to it; ``beta_identity`` imports ``gammaln`` itself.  So a
+and forwards to it; ``beta_identity`` imports ``gammaln`` itself, and
+``check_fractional_identity`` scipy's ``IntegrationWarning``.  So a
 process that never integrates (most CLI actions) never loads scipy, which is
 most of the package's import time.  ``quad`` stays a module-level name, and
 every quadrature here calls it through that name, so a wrapper that rebinds
@@ -28,6 +29,7 @@ every quadrature here calls it through that name, so a wrapper that rebinds
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,7 +152,8 @@ def check_fractional_identity(
     The integrable singularity at y = t is removed by substituting
     y = t - u^{1/(1-k)}, after which the integrand is continuous with kinks at
     the frequencies; those are passed to the quadrature as break points.
-    Degenerate orders k in {0, 1} are rejected.
+    Degenerate orders k in {0, 1} are rejected, and so is a quadrature that
+    scipy warns did not converge (ValueError).
     """
     if not 0 < k < 1:
         raise ValueError("need 0 < k < 1 (identity degenerates at the endpoints)")
@@ -172,8 +175,17 @@ def check_fractional_identity(
     def integrand(u: float) -> complex:
         return typical_mean_A(D, k, w, t - u**p)
 
+    from scipy.integrate import IntegrationWarning
+
     eps = min(quad_tol * 1e-2, 1e-10)
-    val, _ = quad(integrand, 0.0, upper, points=pts, limit=400, epsabs=eps, epsrel=1e-11, complex_func=True)
+    # a quadrature that does not converge measures itself, not the identity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, _ = quad(integrand, 0.0, upper, points=pts, limit=400, epsabs=eps, epsrel=1e-11, complex_func=True)
+        except IntegrationWarning as exc:
+            reason = " ".join(str(exc).split())
+            raise ValueError(f"the quadrature of the fractional identity failed: {reason}") from None
     rhs = p * val
     return float(abs(lhs - rhs))
 

@@ -348,6 +348,9 @@ def test_domain_errors_exit_2(tmp_path, capsys):
          "--t-height", "2000", "--step", "1e-12", "--quad-tol", "0.01"],
         # a gap refined into more points than an array can hold
         ["freq", "refine", "--kind", "custom-from-list", "--n", "2", "--params", "0", "1e300"],
+        # a quadrature that does not converge
+        ["riesz", "fractional", "--kind", "interleave-expexp2", "--n", "9", "--k", "0.5", "--t-point", "3.7",
+         "--tau", "0"],
     ]:
         _assert_exit_2(argv, capsys)
     # a mistyped tag that names no file lists the builtin tags

@@ -131,6 +131,14 @@ def test_fractional_identity_small_instance():
     assert resid < 1e-8
 
 
+def test_fractional_identity_rejects_a_quadrature_that_does_not_converge():
+    # lambda = n and n + one ulp give coinciding break points: quadpack warns,
+    # and the residual (3.2e-05 against a tolerance of 1e-08) measured the quadrature
+    D = DirichletSeries(make_frequency("interleave-expexp2", 9), np.ones(9, dtype=complex))
+    with pytest.raises(ValueError, match="quadrature of the fractional identity failed: Extremely bad"):
+        check_fractional_identity(D, 0.5, 3.7, tau=0.0)
+
+
 def test_fractional_identity_needs_fractional_k():
     D = DirichletSeries(make_frequency("linear", 3), np.ones(3, dtype=complex))
     with pytest.raises(ValueError):

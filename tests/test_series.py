@@ -568,18 +568,19 @@ def test_line_paths_keep_the_bits_of_the_complex_exp(kind, monkeypatch):
 def test_halfplane_norm_builds_each_phase_row_once(rows_built):
     D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
     halfplane_norm(D)
-    # 8 levels x (2001 + 4001) rows when every level rebuilt every round, and
-    # 4001 when every new point was evaluated: the maxima sit at t = 0, and
-    # the Lipschitz bound skips most midpoints away from it
-    assert rows_built[0] == 2014
+    # 8 levels x (2001 + 4001) rows when every level rebuilt every round, 4001
+    # when every new point was evaluated, and 2014 when round 1 evaluated its
+    # whole grid: the maxima sit at t = 0, and the shifted-amplitude and
+    # Lipschitz bounds skip most points away from it
+    assert rows_built[0] == 264
 
 
 def test_line_sup_report_builds_only_the_new_points(rows_built):
     D = DirichletSeries(make_frequency("log", 10_000), np.ones(10_000))
     line_sup_report(D, None, LineGrid(1e-3, 0.0, 100.0, 0.05))
-    # 2001 + 4001 rows when each round rebuilt its whole grid, and 4001 when
-    # every new point was evaluated
-    assert rows_built[0] == 2016
+    # 2001 + 4001 rows when each round rebuilt its whole grid, 4001 when every
+    # new point was evaluated, and 2016 when round 1 evaluated its whole grid
+    assert rows_built[0] == 266
 
 
 def _riesz_lines(D, xs, sigma, ks=(0.25, 0.5, 1.0)):
@@ -639,20 +640,31 @@ def test_lines_over_prefixes_equal_one_line_sup_each(D, lines, window, tol_sup, 
 
 def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
     widths = []
-    inner = series_module._eval_line
+    rounds = [0]
+    inner, points = series_module._eval_line, LineGrid.points
 
     def recording(D, amps, ts, N=None):
-        widths.append(N)
+        widths.append((rounds[0], N))
         return inner(D, amps, ts, N)
 
+    def counting(grid, step=None):
+        # a refinement round takes its grid's points once
+        rounds[0] += 1
+        return points(grid, step)
+
     monkeypatch.setattr(series_module, "_eval_line", recording)
+    monkeypatch.setattr(LineGrid, "points", counting)
     D = _seeded("log", 40, 3)
     lines = _riesz_lines(D, (1.0, 2.5, 3.0, 3.7), 1e-3)
     reps = _refine_lines(D, lines, LineGrid(0.0, -3.0, 17.3, 0.09), 1e-7)
     live = [max(c.size for (c, _), rep in zip(lines, reps) if rep.rounds >= r) for r in range(1, 6)]
     # the 40-term truncations stop after round 3, a 20-term one runs to round 5
     assert live == [40, 40, 40, 20, 20]
-    assert widths == live
+    # round 5's 3,610 points are no refinement of round 4's 1,805 and cross
+    # both floors of the coarse pass: it asks for its centres, then for the
+    # points their bounds cannot skip
+    assert [r for r, _ in widths] == [1, 2, 3, 4, 5, 5]
+    assert all(width == live[r - 1] for r, width in widths)
     D = acceptance._polynomial_family(7)[2][0]
     reps = _refine_lines(D, _criterion_6_lines(D), LineGrid(1e-3, 0.0, 60.0, 0.05), 1e-4, 3)
     assert {rep.rounds for rep in reps} == {2, 3}
@@ -722,6 +734,12 @@ def _ones_case(kind, M, window):
     return D, [(D.coeffs, 0.0), (D.coeffs[: M // 2], 1e-3), (D.coeffs, 0.1)], window
 
 
+def _wide_case(kind, M, window):
+    """Seeded lines wide enough, over enough points, for the coarse pass."""
+    D = _seeded(kind, M, 13)
+    return D, [(D.coeffs, 0.0), (D.coeffs[: M // 2], 1e-3), (D.coeffs, 0.1)], window
+
+
 _RIPPLE = DirichletSeries(make_frequency("log", 2), np.array([-2.0 + 1.5j, 1.0]))
 
 
@@ -733,6 +751,12 @@ _RIPPLE = DirichletSeries(make_frequency("log", 2), np.array([-2.0 + 1.5j, 1.0])
 @example(_ones_case("linear", 40, (1.0, 7.0, 0.01)), 1e-12, 6)
 # |g| rises by more than L d / 2 over a distance d, so the slope term needs its full d
 @example((_RIPPLE, [(_RIPPLE.coeffs, 0.0)], (0.5, 25.5, 12.5)), 1e-4, 3)
+# lines past both floors of the coarse pass: 57.3 / 0.07 and its halvings round
+# to 819, 1637 and 3274 intervals, so rounds 1 and 2 run the pass on their whole
+# grids and round 3 refines round 2, reading the bounds the pass left
+@example(_wide_case("linear", 120, (-10.0, 47.3, 0.07)), 1e-12, 4)
+@example(_wide_case("logprimes", 200, (-10.0, 47.3, 0.07)), 1e-4, 6)
+@example(_wide_case("log", 300, (0.0, 40.0, 0.05)), 1e-4, 1)
 def test_skipped_points_cannot_raise_a_line_max(case, tol_sup, max_rounds):
     D, lines, window = case
     asked = []
@@ -759,6 +783,23 @@ def test_skipped_points_cannot_raise_a_line_max(case, tol_sup, max_rounds):
         if skipped.size:
             amp = series_module._line_terms(D.freq.values[: c.size], c, sg)[0]
             assert np.abs(inner(D, [amp], skipped, c.size)[0]).max() <= rep.value
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("max_rounds", [1, 10])
+def test_a_tie_between_t_and_minus_t_reports_the_negative_t(seed, max_rounds):
+    # real coefficients make |D(-t)| equal |D(t)| bit for bit on a grid of 2^11
+    # intervals symmetric about 0, and the first t of a tie is the negative one;
+    # the coarse pass asks for the tied points of seed 0 (offsets 2 and 6 from
+    # their centres) and evaluates those of seed 1 as centres
+    rng = np.random.default_rng(seed)
+    D = DirichletSeries(make_frequency("log", 64), rng.standard_normal(64))
+    grid = LineGrid(0.0, -8.0, 8.0, 16.0 / 2**11)
+    vals = np.abs(_eval_line(D, [D.coeffs], grid.points())[0])
+    assert np.array_equal(vals, vals[::-1])
+    rep = line_sup_report(D, None, grid, max_rounds=max_rounds)
+    assert rep == _naive_line_sup(D, None, grid, max_rounds=max_rounds)
+    assert rep.t_at_max < 0
 
 
 @pytest.fixture
@@ -836,10 +877,13 @@ def test_wide_series_take_blocks_of_two_rows(M, monkeypatch):
     # past 2^15 frequencies the entry budget gives one row or none; the floor of
     # two keeps every block but the last off the one-row path, which doubles it
     D = _seeded("log", M, 12)
-    blocks = []
+    calls = []
     inner = series_module._phase_blocks
 
     def recording(z, lam, work, *rest):
+        blocks = []
+        calls.append((z.size, blocks))
+
         def recorded(lo, phase):
             blocks.append((lo, phase.shape[0]))
             work(lo, phase)
@@ -849,6 +893,15 @@ def test_wide_series_take_blocks_of_two_rows(M, monkeypatch):
     monkeypatch.setattr(series_module, "_phase_blocks", recording)
     grid = LineGrid(0.0, 0.0, 1.0, 0.1)
     line_sup_report(D, None, grid, max_rounds=1)
+    # the coarse pass asks for the centres t = 0, 0.8 and 1, then for the
+    # points between them that their bounds cannot skip
+    assert calls[0][0] == 3
+    for size, blocks in calls:
+        assert sorted(blocks) == [(lo, min(2, size - lo)) for lo in range(0, size, 2)]
+    calls.clear()
+    _eval_line(D, [D.coeffs], grid.points())
+    ((size, blocks),) = calls
+    assert size == 11
     assert sorted(blocks) == [(lo, 2) for lo in range(0, 10, 2)] + [(10, 1)]
 
 
