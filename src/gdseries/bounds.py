@@ -326,7 +326,8 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     """(lhs, rhs) of |sum_{n<=N} a_n| <= 3 gap_N^{-k} sup_x |sum_{lambda_n<x} a_n (x-lambda_n)^k|.
 
     The sup is a grid max over x in [0, lambda_{N+1}], from ``_HARDY_POINTS``
-    points refined by ``series._refine_max`` (``_HARDY_TOL``, ``_HARDY_ROUNDS``).
+    points refined by ``series._refine_max`` (``_HARDY_TOL``, ``_HARDY_ROUNDS``),
+    whose ``rows`` contract this meets by evaluating every point a round lacks.
     Each round's weight rows (x - lambda_n)_+^k are cast into the kernel's
     complex blocks and summed by ``series._phase_sum``, so a value does not
     depend on the block its x falls in.
@@ -348,8 +349,9 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
         w = np.subtract.outer(xs, lam)
         phase[...] = np.power(np.maximum(w, 0.0, out=w), k, out=w)
 
-    def weigh(xs, _live):
-        return [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights)]
+    def weigh(xs, refined, _best):
+        xs = xs[1::2] if refined else xs
+        return xs, [np.abs(row) for row in _phase_sum(xs, lam, [D.coeffs], weights)]
 
     grid = LineGrid(0.0, 0.0, lam_next, lam_next / (_HARDY_POINTS - 1))
     ((sup, *_),) = _refine_max(weigh, 1, grid, _HARDY_TOL, _HARDY_ROUNDS)

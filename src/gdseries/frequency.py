@@ -229,6 +229,17 @@ def make_frequency(kind: str, M: int, params: Optional[Sequence[float]] = None) 
     raise ValueError(f"unknown frequency kind {kind!r}; expected one of {BUILTIN_KINDS}")
 
 
+def _finite_number(text: str, where: str) -> float:
+    """float(text), or ValueError naming ``where`` when text is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: not a finite number: {text!r}")
+    return value
+
+
 def read_frequency_file(path) -> Frequency:
     """Ingest a custom frequency: one decimal per line, '#' comments and a byte-order mark allowed."""
     values = []
@@ -236,10 +247,7 @@ def read_frequency_file(path) -> Frequency:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from exc
+        values.append(_finite_number(line, f"{path}:{lineno}"))
     if not values:
         raise ValueError(f"{path}: no values found")
     return Frequency(np.asarray(values), generator="custom")

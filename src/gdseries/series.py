@@ -51,47 +51,51 @@ t-window for all their lines together (``_refine_lines``): a round builds the
 phase rows of its points once, over the widest line still refining, and each
 line keeps its own max, convergence test and certificate.
 Every grid sup, these and Hardy's in ``bounds``, halves its step in one loop
-(``_refine_max``), which evaluates each point at most once: a round asks
-only for the points the previous round lacked when its grid is a true
-refinement, that is when the new grid's even points are the previous grid
-bit for bit.  ``LineGrid`` rounds W/h, so a step that does not divide the
-window can give another size, and then every point is evaluated afresh.
-A line sup also skips each new midpoint that no live line can raise above
-its max.  With u the computed |value| at an evaluated point, or the bound at
-a skipped one, a midpoint at distances d_l, d_r from its neighbours is asked
-for only when min(u_l + L d_l, u_r + L d_r) (1 + 1e-12) + 2E reaches some
-live line's max before the round, L being that line's Lipschitz constant.
+(``_refine_max``).  Each round hands ``rows`` its grid, whether that grid is a
+true refinement of the previous one (its even points are the previous grid bit
+for bit; ``LineGrid`` rounds W/h, so a step that does not divide the window
+can give another size) and each live function's max so far.  ``rows`` returns
+the points it evaluated and their values, and a point it leaves out must be
+provably below one of those values or below the max so far.  Hardy's sup
+evaluates every point a round lacks: a refinement's midpoints, else the grid.
 
-A line sup's round over a whole grid (round 1, and any round whose grid is
-not a true refinement) runs a coarse pass.  With J = ``_STRIDE`` = 8 and
-Delta = W / (points - 1) the grid's nominal spacing, it evaluates only the
-centres t_c, every J-th point and the last.  In the same ``_eval_line`` call
-each line adds J - 1 shifted rows c_n e^{-lambda_n sigma} e^{-i lambda_n s_j},
-s_j = j Delta rounded, whose value at t_c is the line's value at t_c + s_j.
-The shift rows e^{-i lambda s_j} are filled once per round by ``_line_block``
-and scaled by each line's amplitudes, the last line's in place; the value
-rows keep their bits, since ``_phase_sum`` runs one GEMV per amplitude row.  A point t_i at
-offset j after its centre is then asked for only when
+A line sup skips points by one rule.  With u a line's bound on the computed
+|value| at a point, the point is asked for only when
 
-    (|a~| + E' + L eta_i) (1 + 1e-12) + 2E
+    u (1 + 1e-12) + 2E
 
-reaches the line's max over the centres, where a~ is the computed shifted
-value, eta_i = |(t_i - t_c) - s_j| + 2uT bounds |t_i - (t_c + s_j)| with its
-own rounding, and
+reaches the larger of the line's max before the round and its max over the
+round's evaluated centres (a refinement has none), and it is evaluated when
+some live line asks for it.  u comes from one of two anchor sources:
 
-    E' = 2u ((T + J Delta) L + (m + 12) cap)
+- on a true refinement, a midpoint's neighbours at distances d_l and d_r,
+  u = min(u_l + L d_l, u_r + L d_r), L being the line's Lipschitz constant;
+- on a whole grid, the coarse pass's shifted centres.  With J = ``_STRIDE``
+  = 8 and Delta = W / (points - 1) the grid's nominal spacing, the pass
+  evaluates only the centres t_c, every J-th point and the last.  In the same
+  ``_eval_line`` call each line adds J - 1 shifted rows
+  c_n e^{-lambda_n sigma} e^{-i lambda_n s_j}, s_j = j Delta rounded, whose
+  value at t_c is the line's value at t_c + s_j.  The shift rows
+  e^{-i lambda s_j} are filled once per round by ``_line_block`` and scaled by
+  each line's amplitudes, the last line's in place; the value rows keep their
+  bits, since ``_phase_sum`` runs one GEMV per amplitude row.  A point t_i at
+  offset j after its centre has u = |a~| + E' + L eta_i, where a~ is the
+  computed shifted value, eta_i = |(t_i - t_c) - s_j| + 2uT bounds
+  |t_i - (t_c + s_j)| with its own rounding, and
 
-covers the rounding of both phases, of the amplitude products and of the sum.
-No condition on lambda is needed.  A skipped point keeps |a~| + E' + L eta_i
-as its u.  A round keeps the plain path when its widest live line has fewer
-than 2J terms or it fills less than one block (width x points below
-``_BLOCK_ENTRIES``): there the shift rows and bounds cost more than the fill
-they save.
+      E' = 2u ((T + J Delta) L + (m + 12) cap)
 
-A skipped point is bounded, not evaluated: its computed value lies strictly
-below a value its round already holds (the max before the round, or over the
-centres), so no max, t_at_max, round, step or certificate changes.  Hardy's
-sup evaluates every point.
+  covers the rounding of both phases, of the amplitude products and of the
+  sum.  No condition on lambda is needed.
+
+An evaluated point's u is its computed |value|, and a skipped one keeps its
+bound for the next round's midpoints.  A whole grid below the floors of the
+coarse pass, a widest live line of fewer than 2J terms or a fill of less than
+one block (width x points below ``_BLOCK_ENTRIES``), is one direct
+``_eval_line`` call over every point: there the shift rows and bounds cost
+more than the fill they save.  A skipped point is bounded, not evaluated: its
+computed value lies strictly below a value its round already holds, so no
+max, t_at_max, round, step or certificate changes.
 
 E bounds the distance between a computed |value| and the exact modulus, on
 a line of m terms with cap sum |c_n| e^{-lambda_n sigma}, over a window with
@@ -101,10 +105,10 @@ T = max(|t_min|, |t_max|):
 
 T L covers the rounding of each t lambda_n; (m + 8) cap covers about one ulp
 in each libm cos and sin, the complex products, the m-term sum in any order
-(gamma_m) and the abs; the factor 2 is a margin.  A midpoint skip needs 2E,
-one E for the midpoint and one for its neighbour; the coarse pass, whose E'
-already covers the shifted value, keeps the same 2E as a margin, and the
-certificate adds it too.
+(gamma_m) and the abs; the factor 2 is a margin.  The skip rule's 2E is one
+E for the point and one for its neighbour; a shifted centre's E' already
+covers the shifted value, and there 2E is a margin.  The certificate adds 2E
+too.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .frequency import BUILTIN_KINDS, Frequency, make_frequency, read_frequency_file
+from .frequency import BUILTIN_KINDS, Frequency, _finite_number, make_frequency, read_frequency_file
 
 __all__ = [
     "DirichletSeries",
@@ -394,48 +398,23 @@ class SupReport:
     rounds: int
 
 
-def _refine_max(
-    rows: Callable,
-    count: int,
-    grid: LineGrid,
-    tol: float,
-    max_rounds: int,
-    bounds: Optional[list] = None,
-    coarse: Optional[Callable] = None,
-) -> list:
+def _refine_max(rows: Callable, count: int, grid: LineGrid, tol: float, max_rounds: int) -> list:
     """Grid max of ``count`` functions over grid's t-window (grid.sigma is not read).
 
-    ``rows(ts, live)`` gives the values at ts of the functions indexed by
-    ``live``, one row each.  Each round halves the step and asks only for the
-    points the previous grid lacked (all points when the grid is not a true
-    refinement); each function keeps only its max and the first t where it
+    Each round halves the step and calls ``rows(ts, refined, best)`` with the
+    round's grid ts, whether it is a true refinement of the previous grid, and
+    each live function's max so far by function index, in index order.
+    ``rows`` returns (points, values): the points of ts it evaluated, in
+    increasing order, and the values there, one row per live function; a
+    point it leaves out must be provably below one of those values or below
+    ``best``.  Each function keeps only its max and the first t where it
     occurs.  A function stops when a round raises its observed max by at most
     ``tol``, relative, or after ``max_rounds`` rounds: that limits the change
     between two grids, not the distance to the true sup.  Returns one
     (max, t_at_max, largest spacing, step, rounds) per function.
-
-    ``bounds``, one (Lipschitz constant L, rounding term E) pair per
-    function, or None, lets a true refinement skip points: each live
-    function keeps an upper bound u at every grid point, and a midpoint is
-    asked for only when min(u_l + L d_l, u_r + L d_r) (1 + 1e-12) + 2E
-    reaches some live function's max.
-
-    ``coarse(ts, live)``, or None, runs a round over a whole grid instead of
-    ``rows``: it returns None to leave the round to ``rows``, or (ask, u,
-    values): the points it evaluated as a mask over ts, each live function's
-    bound u over ts by function index, and the values at ts[ask], one row
-    per live function.  ``_refine_lines`` passes the coarse pass of the
-    module docstring: it evaluates every J-th point and each line's J - 1
-    shifted rows there, asks for a point only when
-    (|a~| + E' + L eta) (1 + 1e-12) + 2E reaches the line's max over those
-    centres, and returns None when the widest live line has fewer than 2J
-    terms or the round fills less than one block.  A skipped point is
-    bounded, not evaluated, and its computed value lies strictly below a
-    value its round holds, so no max, t_at_max, step or round count changes.
     """
     best = [-math.inf] * count
     t_best = [grid.t_min] * count
-    upper = [None] * count
     out = [None] * count
     live = list(range(count))
     step = grid.step
@@ -445,35 +424,13 @@ def _refine_max(
         ts = grid.points(step)
         rounds += 1
         refined = old is not None and ts.size == 2 * old.size - 1 and np.array_equal(ts[::2], old)
-        fresh = ts[1::2] if refined else ts
-        mids, found = {}, None
-        if refined and bounds is not None:
-            d_l, d_r = fresh - old[:-1], old[1:] - fresh
-            ask = np.zeros(fresh.size, dtype=bool)
-            for j in live:
-                lip, err = bounds[j]
-                mids[j] = np.minimum(upper[j][:-1] + lip * d_l, upper[j][1:] + lip * d_r)
-                # a nan bound proves nothing, so its point is asked for
-                ask |= ~(mids[j] * (1.0 + 1e-12) + 2.0 * err < best[j])
-            fresh = fresh[ask]
-        elif not refined and coarse is not None and (done := coarse(ts, live)) is not None:
-            ask, mids, found = done
-            fresh = ts[ask]
         prev = list(best)
-        for j, vals in zip(live, rows(fresh, live) if found is None else found):
+        fresh, found = rows(ts, refined, {j: best[j] for j in live})
+        for j, vals in zip(live, found):
             if vals.size:
                 i = int(np.argmax(vals))
                 if vals[i] > best[j]:
                     best[j], t_best[j] = float(vals[i]), float(fresh[i])
-            if j in mids:
-                mids[j][ask] = vals
-                if refined:
-                    known, upper[j] = upper[j], np.empty(ts.size)
-                    upper[j][::2], upper[j][1::2] = known, mids[j]
-                else:
-                    upper[j] = mids[j]
-            else:
-                upper[j] = vals
         for j in list(live):
             converged = rounds > 1 and abs(best[j] - prev[j]) <= tol * max(best[j], 1e-300)
             if converged or rounds >= max_rounds:
@@ -503,55 +460,75 @@ def _refine_lines(
 
     A line (c, sigma) is sum_n c_n e^{-lambda_n s}, with c over D's first
     len(c) frequencies, on Re s = sigma.  A round builds the phase rows of its
-    points once, over the widest line still refining.
+    points once, over the widest line still refining, and skips points by the
+    rule of the module docstring.
     """
     lam = D.freq.values
     terms = [_line_terms(lam[: len(c)], c, sigma) for c, sigma in lines]
     reach = max(abs(grid.t_min), abs(grid.t_max))
     bounds = [(lip, 2.0 * _U * (reach * lip + (amp.size + 8) * cap)) for amp, cap, lip in terms]
+    # each line's u over the last grid: its |value| where evaluated, else its bound
+    upper = {}
 
-    def rows(ts, live):
+    def rows(ts, refined, best):
+        live = list(best)
         amps = [terms[j][0] for j in live]
-        return [np.abs(row) for row in _eval_line(D, amps, ts, max(a.size for a in amps))]
-
-    def coarse(ts, live):
-        # the coarse pass of the module docstring, or None below its floors
-        width = max(terms[j][0].size for j in live)
-        if width < 2 * _STRIDE or width * ts.size < _BLOCK_ENTRIES:
-            return None
+        width = max(a.size for a in amps)
         n = ts.size
-        shifts = (grid.t_max - grid.t_min) / (n - 1) * np.arange(_STRIDE)
-        block = np.empty((_STRIDE - 1, width), dtype=complex)
-        _line_block(shifts[1:], lam[:width], block)
-        amps = []
-        for k, j in enumerate(live):
-            amp = terms[j][0]
-            # the last line scales the shift rows in place, the others a copy
-            scaled = block[:, : amp.size]
-            scaled = np.multiply(scaled, amp, out=scaled if k == len(live) - 1 else None)
-            amps += [amp, *scaled]
-        offset = np.arange(n) % _STRIDE
-        centre = offset == 0
-        centre[-1] = True
-        eta = np.abs(ts - ts[np.arange(n) - offset] - shifts[offset]) + 2.0 * _U * reach
-        near = _eval_line(D, amps, ts[centre], width)
-        ask, us = centre.copy(), []
-        for k, j in enumerate(live):
-            (amp, cap, lip), (_, err) = terms[j], bounds[j]
-            moduli = np.abs(near[k * _STRIDE : (k + 1) * _STRIDE])
-            err_shift = 2.0 * _U * ((reach + _STRIDE * shifts[1]) * lip + (amp.size + 12) * cap)
-            # |value| at each multiple of J, and |shifted value| at the points after it
-            u = moduli[:, : -(-n // _STRIDE)].T.ravel()[:n] + err_shift + lip * eta
+        if refined:
+            # the neighbours of each midpoint anchor it; no centre is evaluated
+            old, ts = ts[::2], ts[1::2]
+            d_l, d_r = ts - old[:-1], old[1:] - ts
+            centre = np.zeros(ts.size, dtype=bool)
+            us = [np.minimum(upper[j][:-1] + bounds[j][0] * d_l, upper[j][1:] + bounds[j][0] * d_r) for j in live]
+            tops = list(best.values())
+        elif width < 2 * _STRIDE or width * n < _BLOCK_ENTRIES:
+            vals = [np.abs(row) for row in _eval_line(D, amps, ts, width)]
+            upper.update(zip(live, vals))
+            return ts, vals
+        else:
+            # the shifted centres of the coarse pass anchor every point
+            shifts = (grid.t_max - grid.t_min) / (n - 1) * np.arange(_STRIDE)
+            block = np.empty((_STRIDE - 1, width), dtype=complex)
+            _line_block(shifts[1:], lam[:width], block)
+            rows_in = []
+            for k, amp in enumerate(amps):
+                # the last line scales the shift rows in place, the others a copy
+                scaled = block[:, : amp.size]
+                rows_in += [amp, *np.multiply(scaled, amp, out=scaled if k == len(amps) - 1 else None)]
+            offset = np.arange(n) % _STRIDE
+            centre = offset == 0
+            centre[-1] = True
+            eta = np.abs(ts - ts[np.arange(n) - offset] - shifts[offset]) + 2.0 * _U * reach
+            near = _eval_line(D, rows_in, ts[centre], width)
+            us, tops = [], []
+            for k, j in enumerate(live):
+                amp, cap, lip = terms[j]
+                moduli = np.abs(near[k * _STRIDE : (k + 1) * _STRIDE])
+                err_shift = 2.0 * _U * ((reach + _STRIDE * shifts[1]) * lip + (amp.size + 12) * cap)
+                # |value| at each multiple of J, and |shifted value| at the points after it
+                u = moduli[:, : -(-n // _STRIDE)].T.ravel()[:n] + err_shift + lip * eta
+                u[centre] = moduli[0]
+                us.append(u)
+                tops.append(max(best[j], moduli[0].max()))
+        ask = centre.copy()
+        for j, u, top in zip(live, us, tops):
             # a nan bound proves nothing, so its point is asked for
-            ask |= ~(u * (1.0 + 1e-12) + 2.0 * err < moduli[0].max())
-            u[centre] = moduli[0]
-            us.append(u)
+            ask |= ~(u * (1.0 + 1e-12) + 2.0 * bounds[j][1] < top)
         extra = ask & ~centre
-        for u, vals in zip(us, rows(ts[extra], live)):
-            u[extra] = vals
-        return ask, dict(zip(live, us)), [u[ask] for u in us]
+        vals = [np.abs(row) for row in _eval_line(D, amps, ts[extra], width)]
+        for u, v in zip(us, vals):
+            u[extra] = v
+        for j, u in zip(live, us):
+            if refined:
+                known, upper[j] = upper[j], np.empty(n)
+                upper[j][::2], upper[j][1::2] = known, u
+            else:
+                upper[j] = u
+        # a refinement evaluates no centre, so its asked points are the extra ones
+        return ts[ask], vals if refined else [u[ask] for u in us]
 
-    results = _refine_max(rows, len(terms), grid, tol_sup, max_rounds, bounds, coarse)
+    results = _refine_max(rows, len(terms), grid, tol_sup, max_rounds)
     # the cap and the grid max can coincide up to summation order; the
     # certificate must never fall below the observed lower bound
     return [
@@ -702,10 +679,14 @@ def read_coefficients_csv(path) -> np.ndarray:
     for k, row in enumerate(rows[1:], start=1):
         if len(row) != 3:
             raise ValueError(f"{name}: row {k} must have 3 fields")
-        idx = int(row[0])
+        where = f"{name}: row {k}"
+        try:
+            idx = int(row[0])
+        except ValueError:
+            raise ValueError(f"{where}: index is not an integer: {row[0]!r}") from None
         if idx != k:
-            raise ValueError(f"{name}: row {k} has index {idx}, expected {k}")
-        coeffs.append(float(row[1]) + 1j * float(row[2]))
+            raise ValueError(f"{where} has index {idx}, expected {k}")
+        coeffs.append(_finite_number(row[1], where) + 1j * _finite_number(row[2], where))
     if not coeffs:
         raise ValueError(f"{name}: no coefficient rows")
     return np.asarray(coeffs, dtype=complex)

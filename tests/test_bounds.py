@@ -307,9 +307,10 @@ def test_hardy_weighs_each_x_point_once(monkeypatch):
     refine_max = bounds_module._refine_max
 
     def counting(rows, *args):
-        def counted(xs, live):
-            weighed.append(xs.size)
-            return rows(xs, live)
+        def counted(xs, refined, best):
+            points, values = rows(xs, refined, best)
+            weighed.append(points.size)
+            return points, values
 
         return refine_max(counted, *args)
 

@@ -19,6 +19,7 @@ from gdseries import (
     read_frequency_file,
     refine_gaps,
 )
+from gdseries.cli import run
 from gdseries.frequency import _first_primes
 
 
@@ -279,3 +280,21 @@ def test_read_frequency_file_rejects_decreasing(tmp_path):
     p.write_text("1.0\n0.5\n")
     with pytest.raises(ValueError):
         read_frequency_file(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\n1\ninf\n", "3: not a finite number: 'inf'"),
+        ("0\n# note\nnan # a comment\n", "3: not a finite number: 'nan'"),
+        ("0\n1e400\n", "2: not a finite number: '1e400'"),
+        ("0\nx\n", "2: not a finite number: 'x'"),
+    ],
+)
+def test_read_frequency_file_names_the_line_that_is_not_a_finite_number(text, message, tmp_path, capsys):
+    p = tmp_path / "f.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{message}')}$"):
+        read_frequency_file(p)
+    assert run(["freq", "make", "--freq-file", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {p}:{message}\n")

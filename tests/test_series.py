@@ -32,6 +32,7 @@ from gdseries import (
     write_coefficients_csv,
 )
 from gdseries import acceptance
+from gdseries.cli import run
 from gdseries.bounds import _partial_sup_profile
 from gdseries import series as series_module
 from gdseries.series import (
@@ -44,6 +45,7 @@ from gdseries.series import (
     _phase_blocks,
     _phase_sum,
     _refine_lines,
+    _refine_max,
 )
 
 
@@ -306,6 +308,26 @@ def test_coefficients_csv_rejects_bad_header(tmp_path):
     path.write_text("n,x,y\n1,1.0,0.0\n")
     with pytest.raises(ValueError):
         read_coefficients_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,abc,0", "row 1: not a finite number: 'abc'"),
+        ("1.0,1,0", "row 1: index is not an integer: '1.0'"),
+        ("1,1e400,0", "row 1: not a finite number: '1e400'"),
+        ("1,1,0\n2,0, nan", "row 2: not a finite number: ' nan'"),
+        ("1,1,0\n\n2,-inf,0", "row 2: not a finite number: '-inf'"),
+    ],
+)
+def test_coefficients_csv_names_the_row_of_a_cell_that_is_not_a_finite_number(rows, message, tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text(f"index,re,im\n{rows}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_coefficients_csv(path)
+    argv = ["series", "coeffs", "--kind", "linear", "--n", "2", "--coeffs-file", str(path)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_series_from_descriptor_with_builtin_parts(tmp_path):
@@ -668,6 +690,56 @@ def test_each_round_builds_rows_over_the_widest_live_prefix(monkeypatch):
     D = acceptance._polynomial_family(7)[2][0]
     reps = _refine_lines(D, _criterion_6_lines(D), LineGrid(1e-3, 0.0, 60.0, 0.05), 1e-4, 3)
     assert {rep.rounds for rep in reps} == {2, 3}
+
+
+def _evaluating(f, calls):
+    """A ``rows`` for ``_refine_max`` that evaluates f(j, ts) at every point a
+    round lacks, recording each call's grid size, flag and maxima so far."""
+
+    def rows(ts, refined, best):
+        calls.append((ts.size, refined, dict(best)))
+        ts = ts[1::2] if refined else ts
+        return ts, [f(j, ts) for j in best]
+
+    return rows
+
+
+def test_refine_max_flags_only_true_refinements():
+    # 57.3 / 0.07 and its halvings round to 819, 1637, 3274 and 6549 intervals:
+    # only round 3's grid keeps round 2's points as its even points
+    calls = []
+    rising = _evaluating(lambda j, ts: np.full(ts.size, float(len(calls))), calls)
+    ((best, t_best, spacing, step, rounds),) = _refine_max(rising, 1, LineGrid(0.0, -10.0, 47.3, 0.07), 1e-12, 4)
+    assert [(size, refined) for size, refined, _ in calls] == [(820, False), (1638, False), (3275, True), (6550, False)]
+    assert (best, t_best, step, rounds) == (4.0, -10.0, 0.07 / 8, 4)
+    assert spacing == float(np.max(np.diff(LineGrid(0.0, -10.0, 47.3, 0.07).points(0.07 / 8))))
+
+
+def test_refine_max_keeps_the_first_t_of_a_tie():
+    # within a round the smaller t wins; a later round's equal value at a
+    # smaller t does not replace an earlier round's
+    calls = []
+    peaks = _evaluating(lambda j, ts: np.isin(ts, [-1.0, 1.0, -1.75] if j else [1.0, -1.0]).astype(float), calls)
+    got = _refine_max(peaks, 2, LineGrid(0.0, -2.0, 2.0, 0.5), 0.0, 3)
+    assert [(best, t_best, rounds) for best, t_best, _, _, rounds in got] == [(1.0, -1.0, 2), (1.0, -1.0, 2)]
+    assert [refined for _, refined, _ in calls] == [False, True]
+
+
+def test_refine_max_stops_each_function_by_tol_or_max_rounds():
+    # the max after round r is 1 - 2^-r for function 0, r for function 1 and 1
+    # for function 2: relative rises of 1 / (2^r - 1), 1 / r and 0
+    calls = []
+    levels = [lambda r: 1.0 - 0.5**r, float, lambda r: 1.0]
+    funcs = _evaluating(lambda j, ts: np.full(ts.size, levels[j](len(calls))), calls)
+    got = _refine_max(funcs, 3, LineGrid(0.0, 0.0, 1.0, 0.25), 1.0 / 63, 9)
+    # a rise of at most tol stops a function, equality included
+    assert [(best, rounds) for best, _, _, _, rounds in got] == [(1.0 - 0.5**6, 6), (9.0, 9), (1.0, 2)]
+    assert [list(best) for _, _, best in calls] == [[0, 1, 2]] * 2 + [[0, 1]] * 4 + [[1]] * 3
+    # each round is told the maxima before it
+    assert calls[6][2] == {1: 6.0}
+    assert [step for _, _, _, step, _ in got] == [0.25 / 32, 0.25 / 256, 0.125]
+    (only,) = _refine_max(_evaluating(lambda j, ts: ts, []), 1, LineGrid(0.0, 0.0, 1.0, 0.25), 1.0, 1)
+    assert only == (1.0, 1.0, 0.25, 0.25, 1)
 
 
 def test_lines_must_share_one_frequency():
