@@ -30,7 +30,7 @@ for kind in ("linear", "log", "logprimes", "sqrtlog", "interleave-exp2"):
 # The interleave kinds squeeze a point exponentially close under each
 # integer; the metadata keeps the exact log-gaps that the floats cannot.
 freq = make_frequency("interleave-exp2", M)
-lg = freq.log_gap_values()
+lg = freq.log_gaps
 print("\ninterleave-exp2 exact log-gaps (head):", np.array2string(lg[:6], precision=1))
 print("smallest exact log-gap:", lg.min(), "(float gaps bottom out near one ulp)")
 

@@ -100,7 +100,7 @@ def _log_ratio(freq: Frequency, N: int) -> float:
     """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor."""
     if not 1 <= N < freq.M:
         raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1))")
-    return math.log(float(freq.values[N])) - float(freq.log_gap_values()[N - 1])  # lambda_(N+1) > 0
+    return math.log(float(freq.values[N])) - float(freq.log_gaps[N - 1])  # lambda_(N+1) > 0
 
 
 def _log_factor(k: float, log_ratio: float, variant: str, log_k: Optional[float] = None) -> float:
@@ -156,9 +156,9 @@ def sn_bound_optimal(freq: Frequency, N: int, variant: str = "paper") -> SnBound
         if b - a < 1e-12:  # the bracket lies in (0, 1]
             break
     k_best = (a + b) / 2.0
-    best = sn_bound(freq, N, k_best, variant)
-    grid_best = sn_bound(freq, N, float(ks[i]), variant)
-    return best if best.log_factor <= grid_best.log_factor else grid_best
+    if _log_factor(k_best, log_ratio, variant) > vals[i]:
+        k_best = float(ks[i])
+    return sn_bound(freq, N, k_best, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +242,21 @@ def theorem_bound_profile(
     if isinstance(Ns, slice):
         start = 1 if Ns.start is None else Ns.start
         stop = freq.M if Ns.stop is None else Ns.stop
+        if Ns.step == 0:
+            raise ValueError("the step of N must not be 0")
         Ns = range(start, stop, 1 if Ns.step is None else Ns.step)
     if len(Ns) == 0:
         raise ValueError(f"empty range of N: {Ns!r}")
     rows = []
-    log_gaps = freq.log_gap_values()
     for N in Ns:
-        if not 1 <= N < freq.M:
-            raise ValueError(f"need 1 <= N < M = {freq.M}")
+        log_ratio = _log_ratio(freq, N)
         lam_N = float(freq.values[N - 1])
         if lam_N <= 0:
             continue
         log_k_raw, log_env = _regime_log_k_and_envelope(regime, lam_N, params)
         log_k = min(log_k_raw, 0.0)
         k = math.exp(log_k)
-        log_bound = _log_factor(k, math.log(freq.values[N]) - float(log_gaps[N - 1]), variant, log_k)
+        log_bound = _log_factor(k, log_ratio, variant, log_k)
         diff = log_bound - log_env
         ratio = math.exp(diff) if diff < 700.0 else math.inf
         rows.append(ProfileRow(N=int(N), log_bound=log_bound, ratio=ratio))
@@ -342,7 +342,7 @@ def hardy_check(D: DirichletSeries, N: int, k: float) -> Tuple[float, float]:
     lhs = abs(complex(np.sum(D.coeffs[:N])))
     lam = D.freq.values
     lam_next = float(lam[N])
-    log_gap = float(D.freq.log_gap_values()[N - 1])
+    log_gap = float(D.freq.log_gaps[N - 1])
 
     def weights(xs, lam, phase):
         # (x - lambda_n)_+^k, zero for x <= lambda_n since 0^k = 0, cast into the block

@@ -72,10 +72,11 @@ class Frequency:
         Provenance tag (a builtin name, ``custom``, or a derived tag such as
         ``refined:linear``).
     log_gaps:
-        Optional exact log-gap overrides, length ``M - 1``.  Generators whose
-        gaps underflow float64 subtraction (the interleave families) store the
-        analytically exact ``log(lambda_{n+1} - lambda_n)`` here; everything
-        gap-sensitive reads gaps through :meth:`log_gap_values`.
+        ``log(lambda_{n+1} - lambda_n)``, a read-only array of length
+        ``M - 1``: the log of the float gaps, or exact overrides passed in.
+        Generators whose gaps underflow float64 subtraction (the interleave
+        families) pass the analytically exact values; everything
+        gap-sensitive reads this array.
     q_independent:
         Trusted metadata: the values are linearly independent over Q.  Only
         builtin generators set it (``logprimes``); it is never inferred from
@@ -106,14 +107,15 @@ class Frequency:
                 f"violation at index {i + 1} -> {i + 2} "
                 f"({float(vals[i])!r} -> {float(vals[i + 1])!r})"
             )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if self.log_gaps is not None:
+        if self.log_gaps is None:
+            lg = np.log(diffs)
+        else:
             lg = np.array(self.log_gaps, dtype=float, copy=True)
-            if lg.shape != (vals.size - 1,):
+            if lg.shape != diffs.shape:
                 raise ValueError("log_gaps must have length M - 1")
-            lg.flags.writeable = False
-            object.__setattr__(self, "log_gaps", lg)
+        vals.flags.writeable = lg.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "log_gaps", lg)
 
     @property
     def M(self) -> int:
@@ -122,12 +124,6 @@ class Frequency:
     @property
     def gaps(self) -> np.ndarray:
         return np.diff(self.values)
-
-    def log_gap_values(self) -> np.ndarray:
-        """log(lambda_{n+1} - lambda_n), exact metadata when available."""
-        if self.log_gaps is not None:
-            return self.log_gaps
-        return np.log(np.diff(self.values))
 
 
 @dataclass(frozen=True)
@@ -190,9 +186,7 @@ def _interleaved(M: int, *, double_exponential: bool) -> Frequency:
         # the gap up to the next odd value n + 1 is 1 - eps_n
         log_gaps += [log_eps, math.log1p(-eps)]
     kind = "interleave-expexp2" if double_exponential else "interleave-exp2"
-    return Frequency(
-        vals[:M], generator=kind, log_gaps=log_gaps[: M - 1] if M > 1 else None
-    )
+    return Frequency(vals[:M], generator=kind, log_gaps=log_gaps[: M - 1])
 
 
 def make_frequency(kind: str, M: int, params: Optional[Sequence[float]] = None) -> Frequency:
@@ -282,7 +276,7 @@ def _condition_report(
     if freq.M < 2:
         raise ValueError("condition checks need at least two frequency values")
     log_c = np.clip(
-        freq.log_gap_values() + np.clip(weight_exponents, _LOG_FLOOR, _LOG_CEIL),
+        freq.log_gaps + np.clip(weight_exponents, _LOG_FLOOR, _LOG_CEIL),
         _LOG_FLOOR,
         _LOG_CEIL,
     )

@@ -79,22 +79,26 @@ def riesz_mean(D: DirichletSeries, k: float, x: float, s: complex = 0j) -> compl
     return 0j if trunc is None else evaluate(trunc, s)
 
 
-def riesz_truncation(D: DirichletSeries, k: float, x: float) -> Optional[DirichletSeries]:
-    """The mean R_x^k as a Dirichlet polynomial (weighted truncation).
-
-    Returns None when no term satisfies lambda_n < x.
-    """
+def _mean_row(D: DirichletSeries, k: float, x: float) -> np.ndarray:
+    """The mean's coefficients a_n (1 - lambda_n/x)^k over the prefix lambda_n < x (maybe empty)."""
     if k < 0:
         raise ValueError("need k >= 0")
     if x <= 0:
         raise ValueError("need x > 0")
     lam = D.freq.values
-    mask = lam < x
-    if not mask.any():
+    n = int(np.count_nonzero(lam < x))
+    return D.coeffs[:n] * np.power(1.0 - lam[:n] / x, k)
+
+
+def riesz_truncation(D: DirichletSeries, k: float, x: float) -> Optional[DirichletSeries]:
+    """The mean R_x^k as a Dirichlet polynomial (weighted truncation).
+
+    Returns None when no term satisfies lambda_n < x.
+    """
+    row = _mean_row(D, k, x)
+    if not row.size:
         return None
-    freq = Frequency(lam[mask], generator=f"riesz:{D.freq.generator}")
-    coeffs = D.coeffs[mask] * np.power(1.0 - lam[mask] / x, k)
-    return DirichletSeries(freq, coeffs)
+    return DirichletSeries(Frequency(D.freq.values[: row.size], generator=f"riesz:{D.freq.generator}"), row)
 
 
 def typical_mean_A(D: DirichletSeries, k: float, w: complex, x: float) -> complex:
@@ -230,11 +234,11 @@ def riesz_uniform_error(
     ts = grid.points()
     s = sigma + 1j * ts
     fvals = _call_reference(D.reference, s)
-    trunc = riesz_truncation(D, k, x)
-    if trunc is None:
-        rvals = np.zeros_like(fvals)
+    row = _mean_row(D, k, x)
+    if row.size:
+        rvals = _eval_line(D, [_line_terms(D.freq.values[: row.size], row, sigma)[0]], ts, row.size)[0]
     else:
-        rvals = _eval_line(trunc, [_line_terms(trunc.freq.values, trunc.coeffs, sigma)[0]], ts)[0]
+        rvals = np.zeros_like(fvals)
     return float(np.max(np.abs(rvals - fvals)))
 
 
@@ -254,10 +258,10 @@ def sigma_u_k_estimate(
     xs = [float(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be increasing")
-    # the truncations are prefixes of D's frequency: one refinement for all
-    found = [(i, x, riesz_truncation(D, k, x)) for i, x in enumerate(xs, start=1)]
-    found = [(i, x, trunc) for i, x, trunc in found if trunc is not None]
-    reports = _refine_lines(D, [(trunc.coeffs, 0.0) for _, _, trunc in found], grid, tol_sup)
+    # the mean rows lie over prefixes of D's frequency: one refinement for all
+    found = [(i, x, _mean_row(D, k, x)) for i, x in enumerate(xs, start=1)]
+    found = [(i, x, row) for i, x, row in found if row.size]
+    reports = _refine_lines(D, [(row, 0.0) for _, _, row in found], grid, tol_sup)
     pairs = [(i, math.log(rep.value) / x) for (i, x, _), rep in zip(found, reports) if rep.value > 0]
     return windowed_limsup("sigma_u_k", pairs)
 

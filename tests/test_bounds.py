@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,21 +85,6 @@ def test_sn_bound_optimal_is_the_sn_bound_at_its_order(kind, variant):
     for N in (1, 2, 17, 58, 59):
         best = sn_bound_optimal(freq, N, variant)
         assert best == sn_bound(freq, N, best.k, variant)
-
-
-def test_sn_bound_optimal_reads_the_gaps_once(monkeypatch):
-    freq = make_frequency("log", 300)
-    reads = []
-    inner = Frequency.log_gap_values
-
-    def counting(self):
-        reads.append(self)
-        return inner(self)
-
-    monkeypatch.setattr(Frequency, "log_gap_values", counting)
-    sn_bound_optimal(freq, 150, "exact")
-    # one for the k-search, one for each of the two candidates it returns from
-    assert len(reads) == 3
 
 
 def test_profile_bc_log_golden_midpoint():
@@ -248,7 +234,7 @@ def _hardy_check_whole_chunks(D, N, k):
         sup = max(sup, nxt)
         if stable:
             break
-    rhs = 3.0 * math.exp(-k * float(D.freq.log_gap_values()[N - 1])) * sup
+    rhs = 3.0 * math.exp(-k * float(D.freq.log_gaps[N - 1])) * sup
     return abs(complex(np.sum(D.coeffs[:N]))), rhs
 
 
@@ -478,3 +464,24 @@ def test_delta_family_shares_each_phase_block(monkeypatch):
     assert delta_sequence_estimate(family, grid) == windowed_limsup("Delta", pairs)
     # 2001 points in blocks of 163 rows, each built once for all members
     assert sorted(built) == list(range(0, 2001, _block_rows(M)))
+
+
+def test_profile_without_ns_runs_over_every_n():
+    freq = make_frequency("log", 40)
+    assert theorem_bound_profile(freq, "bc") == theorem_bound_profile(freq, "bc", Ns=range(1, 40))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: delta_sequence_estimate([], LineGrid(0.0, 0.0, 10.0, 0.1)), "need a nonempty family"),
+        (lambda: theorem_bound_profile(make_frequency("log", 60), "bc", Ns=slice(1, 30, 0)),
+         "the step of N must not be 0"),
+        (lambda: theorem_bound_profile(make_frequency("log", 60), "bc", Ns=[60]),
+         "need 1 <= N < M = 60 (the bound uses lambda_(N+1))"),
+    ],
+    ids=["empty-family", "zero-step", "n-at-m"],
+)
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -361,6 +361,9 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "error: coefficients 'alternatng' are neither a file nor a builtin tag "
         "(ones, alternating, inverse-square, seeded-normal[:SEED])\n"
     )
+    # a zero step of N is named as such, not left to range()
+    assert run(["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-step", "0"]) == 2
+    assert capsys.readouterr().err == "error: the step of N must not be 0\n"
     # a zero length is named as such, from a flag and from a descriptor
     zero = tmp_path / "zero.json"
     zero.write_text('{"frequency": {"kind": "linear", "m": 0}, "coefficients": "ones"}')
@@ -665,3 +668,18 @@ def test_input_layer_fuzz(cases, tmp_path, monkeypatch, capsys):
             assert code == 0, (argv, files, err)
             payload = json.loads(out)
             assert {key: payload[key] for key in want} == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["riesz", "constants", "--k", "abc"], "invalid float value: 'abc'"),
+        (["series", "eval", "--kind", "linear", "--n", "3", "--sigma", ""], "invalid float value: ''"),
+    ],
+    ids=["k-word", "sigma-empty"],
+)
+def test_float_flags_name_a_value_that_is_not_a_number(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

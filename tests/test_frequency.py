@@ -89,7 +89,7 @@ def test_interleave_exp2_log_gaps_are_exact():
     # subtraction of the values underflows long before n = 50, so the
     # log-gap metadata must carry the exact exponent
     freq = make_frequency("interleave-exp2", 100)
-    lg = freq.log_gap_values()
+    lg = freq.log_gaps
     assert np.all(np.isfinite(lg))
     assert lg[0] == -1.0
     assert lg[2] == -4.0
@@ -156,17 +156,36 @@ def _interleaved_by_position(M, double_exponential):
 
 @pytest.mark.parametrize("kind", ["interleave-exp2", "interleave-expexp2"])
 def test_interleaved_pairs_keep_the_position_loop_bits(kind):
-    # odd and even M, M = 1 (no log-gaps), the one-ulp nudge from n = 7 on, and
-    # for expexp2 the eps = 0 floor from n = 27 on, that is from M = 54
+    # odd and even M, M = 1 (an empty log-gap array), the one-ulp nudge from
+    # n = 7 on, and for expexp2 the eps = 0 floor from n = 27 on, that is
+    # from M = 54
     for M in list(range(1, 61)) + [10_000, 10_001]:
         want_vals, want_gaps = _interleaved_by_position(M, kind == "interleave-expexp2")
         freq = make_frequency(kind, M)
         assert freq.generator == kind
         assert freq.values.tobytes() == want_vals.tobytes(), M
-        if M == 1:
-            assert freq.log_gaps is None
-        else:
-            assert freq.log_gaps.tobytes() == want_gaps.tobytes(), M
+        assert freq.log_gaps.shape == want_gaps.shape, M
+        assert freq.log_gaps.tobytes() == want_gaps.tobytes(), M
+
+
+def test_log_gaps_are_one_read_only_array():
+    # M - 1 log-gaps in every case: the log of the float gaps byte for byte,
+    # or the interleave kinds' exact values, which the float route loses
+    for kind in BUILTIN_KINDS:
+        if kind == "custom-from-list":
+            continue
+        for M in (1, 2, 3, 50, 2000):
+            freq = make_frequency(kind, M)
+            assert freq.log_gaps.shape == (M - 1,) and not freq.log_gaps.flags.writeable, (kind, M)
+            float_route = np.log(np.diff(freq.values))
+            if kind.startswith("interleave"):
+                want = _interleaved_by_position(M, kind == "interleave-expexp2")[1]
+                assert M < 50 or not np.array_equal(freq.log_gaps, float_route), (kind, M)
+            else:
+                want = float_route
+            assert freq.log_gaps.tobytes() == want.tobytes(), (kind, M)
+    with pytest.raises(ValueError, match="read-only"):
+        make_frequency("log", 5).log_gaps[0] = 0.0
 
 
 def test_check_bc_interleave_fails():
@@ -298,3 +317,37 @@ def test_read_frequency_file_names_the_line_that_is_not_a_finite_number(text, me
         read_frequency_file(p)
     assert run(["freq", "make", "--freq-file", str(p)]) == 2
     assert capsys.readouterr() == ("", f"error: {p}:{message}\n")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda _: Frequency([[0.0, 1.0]]), "frequency values must be a 1-D sequence"),
+        (lambda _: Frequency([]), "frequency needs at least one value"),
+        (lambda _: Frequency([0.0, math.nan]), "frequency values must be finite"),
+        (lambda _: Frequency([0.0, 1.0, 2.0], log_gaps=[0.0]), "log_gaps must have length M - 1"),
+        (lambda _: make_frequency("custom-from-list", 3, [0.0, 1.0]), "custom list has 2 values, expected M=3"),
+        (lambda tmp: read_frequency_file(_comments_only(tmp)), "no values found"),
+        (lambda _: check_bc(make_frequency("linear", 1), 1.0, 0.1), "condition checks need at least two frequency values"),
+        (lambda _: check_bc(make_frequency("linear", 20), 0.0, 0.1), "need l > 0 and delta > 0"),
+        (lambda _: check_bc(make_frequency("linear", 20), 1.0, -0.1), "need l > 0 and delta > 0"),
+        (lambda _: check_poly_growth(make_frequency("linear", 20), 1.0, 0.0, 0.1), "need l > 0, d > 0 and delta > 0"),
+    ],
+    ids=["2-D", "empty", "nan", "log-gaps-length", "custom-length", "comments-only", "bc-one-value", "bc-l",
+         "bc-delta", "poly-d"],
+)
+def test_input_guards_name_the_bad_input(tmp_path, build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(tmp_path)
+
+
+def _comments_only(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("# lambda_n, one a line\n\n   # none yet\n")
+    return path
+
+
+def test_condition_reports_below_ten_values_are_inconclusive():
+    freq = make_frequency("log", 9)
+    for rep in (check_bc(freq, 1.0, 0.1), check_lc(freq, 0.1), check_poly_growth(freq, 1.0, 2.0, 0.1)):
+        assert (rep.trend, rep.verdict) == ("inconclusive", "inconclusive")

@@ -284,3 +284,24 @@ def test_construct_passes_an_infinite_y_to_the_point_budget():
 def test_construct_rejects_nonpositive_x():
     with pytest.raises(ValueError):
         neder_construct(base_integers(), 0.0)
+
+
+_GUARD_GRID = LineGrid(0.0, 0.0, 10.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fejer_polynomial(0), "need m >= 1"),
+        (lambda: neder_construct(base_integers(), 0.1, r_cap=0), "need r_cap >= 1"),
+        (lambda: neder_construct(base_integers(), 0.1, point_budget=1), "need point_budget >= 2"),
+        (lambda: neder_construct(Frequency([1.0]), 0.1), "need at least two base points"),
+        (lambda: neder_cauchy_check(neder_construct(base_integers(), 0.1), 3, 2, _GUARD_GRID), "need K <= L"),
+        (lambda: neder_cauchy_check(neder_construct(base_integers(), 0.1), 1, 9, _GUARD_GRID),
+         "L = 9 exceeds the largest block id 8"),
+    ],
+    ids=["fejer-m", "r-cap", "point-budget", "one-base-point", "k-above-l", "l-above-blocks"],
+)
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

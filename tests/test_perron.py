@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import cache, partial
 
@@ -226,3 +227,18 @@ def test_perron_memory_is_bounded_by_the_first_round():
     finally:
         tracemalloc.stop()
     assert peak < 24e6
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tail_bound(1.0, 1.5, 0.5, 2.0, 0.0), "need T > 0"),
+        (lambda: tail_bound(1.0, 1.5, 0.5, 2.0, -5.0), "need T > 0"),
+        (lambda: required_T(0.0, 1.5, 0.5, 2.0, 1e-3), "need k > 0 (no finite certificate at k = 0)"),
+        (lambda: required_T(1.0, 1.5, 0.5, 2.0, 0.0), "need tol > 0"),
+    ],
+    ids=["tail-t-zero", "tail-t-negative", "required-k", "required-tol"],
+)
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,27 @@ def test_every_quadrature_goes_through_the_module_quad(monkeypatch):
         calls.clear()
         run_one()
         assert calls
+
+
+def _guard_series():
+    D = DirichletSeries(Frequency(np.array([0.0, 0.7, 1.5])), np.array([1.0 + 0j, -0.5j, 0.25]))
+    return with_self_reference(D)
+
+
+_GUARD_GRID = LineGrid(0.0, 0.0, 10.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda D: typical_mean_A(D, -0.5, 0.0, 1.0), "need k >= 0"),
+        (lambda D: check_abel_integral(D, 0.5, 0.0), "need x > 0"),
+        (lambda D: check_fractional_identity(D, 0.5, 0.0, 0.0), "need t > 0"),
+        (lambda D: riesz_uniform_error(D, 0.5, 0.0, 1.0, _GUARD_GRID), "need sigma > 0"),
+        (lambda D: sigma_u_k_estimate(D, 0.5, [1.0, 0.8], _GUARD_GRID), "xs must be increasing"),
+    ],
+    ids=["typical-k", "abel-x", "fractional-t", "uniform-error-sigma", "sigma-u-k-xs"],
+)
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(_guard_series())

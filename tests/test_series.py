@@ -1036,3 +1036,34 @@ def test_partial_sup_profile_folds_in_place_to_the_one_shot_bits(monkeypatch):
                 assert np.array_equal(_partial_sup_profile(D, grid), one_shot[0])
                 for row, want in zip(_partial_sup_profile(D, grid, coeffs), one_shot):
                     assert np.array_equal(row, want)
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda _: LineGrid(-1e-3, 0.0, 10.0, 0.1), "sigma must be >= 0"),
+        (lambda _: DirichletSeries(make_frequency("linear", 2), np.ones((2, 1))), "coefficients must be a 1-D sequence"),
+        (lambda _: coefficient_recover(DirichletSeries(make_frequency("linear", 3), np.ones(3)), 1, 1.0, 10.0, 0.1),
+         "coefficient recovery needs a reference evaluator"),
+        (lambda _: coefficient_recover(_recoverable(), 1, 0.0, 10.0, 0.1), "need sigma > 0"),
+        (lambda _: coefficient_recover(_recoverable(), 4, 1.0, 10.0, 0.1), "n=4 out of range [1, 3]"),
+        (lambda _: coefficient_recover(_recoverable(), 0, 1.0, 10.0, 0.1), "n=0 out of range [1, 3]"),
+        (lambda tmp: read_coefficients_csv(_csv(tmp, "index,re,im\n2,1.0,0.0\n")), "row 1 has index 2, expected 1"),
+        (lambda tmp: read_coefficients_csv(_csv(tmp, "index,re,im\n")), "no coefficient rows"),
+    ],
+    ids=["grid-sigma", "2-D-coefficients", "no-reference", "recover-sigma", "n-above-m", "n-zero",
+         "csv-index-order", "csv-no-rows"],
+)
+def test_input_guards_name_the_bad_input(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
+
+
+def _recoverable():
+    return with_self_reference(DirichletSeries(make_frequency("linear", 3), np.ones(3)))
