@@ -96,10 +96,13 @@ class SnBound:
     value: float
 
 
-def _log_ratio(freq: Frequency, N: int) -> float:
-    """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor."""
+def _log_ratio(freq: Frequency, N: int, given: Optional[int] = None) -> float:
+    """log(lambda_{N+1} / gap_N), whose k-th multiple enters the sn_bound factor.
+
+    ``given``, when freq refines a frequency, is how many values that one had."""
     if not 1 <= N < freq.M:
-        raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1))")
+        why = "" if given is None else f"; the {given} given values were refined to {freq.M} points"
+        raise ValueError(f"need 1 <= N < M = {freq.M} (the bound uses lambda_(N+1){why})")
     return math.log(float(freq.values[N])) - float(freq.log_gaps[N - 1])  # lambda_(N+1) > 0
 
 
@@ -235,7 +238,7 @@ def theorem_bound_profile(
     for name, key in (("lc", "delta"), ("poly", "d")):
         if regime == name and not params.get(key, 0.0) > 0:
             raise ValueError(f"{name} regime needs params['{key}'] > 0")
-    fine = refine_gaps(freq)
+    given, fine = freq.M, refine_gaps(freq)
     freq, refined = fine, fine is not freq
     if Ns is None:
         Ns = slice(None)
@@ -249,7 +252,7 @@ def theorem_bound_profile(
         raise ValueError(f"empty range of N: {Ns!r}")
     rows = []
     for N in Ns:
-        log_ratio = _log_ratio(freq, N)
+        log_ratio = _log_ratio(freq, N, given if refined else None)
         lam_N = float(freq.values[N - 1])
         if lam_N <= 0:
             continue

@@ -20,13 +20,20 @@ Every sum_n amp_n e^{-lambda_n z} over many points z is built from
 2^16 entries (1 MiB, one core's L2 cache), but never fewer than two points
 (``_block_rows``).  On a line, z = i t for real t, ``_line_block`` fills a
 block in place with cos(t lambda) and -sin(t lambda): the bits the complex exp
-gives at z = 1j * t, at about three quarters of its cost.  General points
-(Perron, coefficient recovery, the self reference) keep the complex exp of
-``_exp_block``: split the same way, its real part would run numpy's vectorized
-float exp, whose bits differ from the complex exp's.  The blocks of one call
-are striped over ``_WORKERS`` threads, one per core the process may run on
-(at most 8): worker w builds blocks w, w + W, ... in one reused buffer, and
-the calling thread is worker 0.
+gives at z = 1j * t, at about three quarters of its cost (but for the sign of
+a zero imaginary part where t lambda_n = 0 with t < 0 or t = -0: +0 against
+the complex exp's -0, which a sum keeps only when it is zero).  Points that
+share one real part x >= 0 (Perron's contour, coefficient recovery, the Riesz
+error's reference, translated references) take ``_vertical_block``: the line
+block times one weight row e^{-x lambda}.  glibc's complex exp forms exp(x)
+(cos y, sin y), so with the weights from libm's exp (numpy's complex exp at a
+zero imaginary part; its vectorized float exp gives other bits) these are the
+complex exp's bits.  Other points, which only the public self reference can be
+handed, and series of fewer than 2J terms (J below), where weighting a narrow
+block costs more than it saves, keep the complex exp of ``_exp_block``.  The
+blocks of one call are striped over ``_WORKERS`` threads, one per core the
+process may run on (at most 8): worker w builds blocks w, w + W, ... in one
+reused buffer, and the calling thread is worker 0.
 numpy releases the interpreter lock inside its ufuncs and the GEMV, so the
 workers run in parallel.  This is bit-safe: a block is built by the same
 ufunc loops whatever its rows, and each value is one GEMV row of a block of at
@@ -35,9 +42,9 @@ it falls in or the worker that built it.  ``_phase_sum`` gives one owned row
 per amplitude vector of its list.  The vectors share each phase row, and one
 over a prefix lambda_1..lambda_m runs its GEMV on the block's first m columns,
 which gives the bits of a block built over the prefix alone.  The partial-sum
-fold ``_partial_sup_profile`` folds the same blocks in place into the grid sup
+fold ``_partial_sup_profile`` folds line blocks in place into the grid sup
 of |S_N| for every N, which the sigma_u and Delta estimators of ``bounds``
-read.
+read; its coarse pass is described below.
 ``bounds`` and ``neder`` pass fills (Hardy's weights, the Fejer powers z^j)
 to ``_phase_sum``, but only this module sizes phase blocks and starts kernel
 threads or weights coefficients by e^{-lambda sigma} for a line sup.
@@ -96,6 +103,31 @@ one block (width x points below ``_BLOCK_ENTRIES``), is one direct
 more than the fill they save.  A skipped point is bounded, not evaluated: its
 computed value lies strictly below a value its round already holds, so no
 max, t_at_max, round, step or certificate changes.
+
+The fold of a single coefficient vector skips (point, N) entries by the same
+rule, with each constant taken over the first N terms (a stack of vectors
+folds the whole grid once for all its members).  Past the same floors (at
+least 2J terms, at least one block of fill over the whole grid) it folds the
+centres whole, which gives best_N, the max of the computed |S_N| over the
+centres.  A second pass over the centres, in blocks of half the height, takes
+for each shift j the cumulative sum along n of
+c_n e^{-lambda_n sigma} e^{-i lambda_n s_j} times the centre's phase row: its
+entry N is a~ for S_N at t_c + s_j.  The point t_i is asked for by N when
+
+    (|a~| + E'_N + L_N eta) (1 + 1e-12) + 2E_N >= best_N,
+
+eta being the largest eta_i of the grid, and K_i is the largest N that asks
+for it.  t_i is then folded over lambda_1..lambda_{K_i} alone, in chunks of
+points of similar K_i: a cumulative sum over a prefix keeps the bits of the
+full row's first K_i entries.  Entries past K_i are skipped, and their
+computed |S_N| lies below best_N, a value the fold already holds; the fold
+returns only the sups, so no bit changes.  The pass holds per worker a
+half-height block of centre phases, one of shifted sums and one of their
+moduli, and no bound per point.  cap_N and L_N are cumulative sums of
+nonnegative rounded terms, each at most a relative (N + 4) u below its exact
+value.  The factor 2 of E_N and E'_N, which are built from them, covers that
+shortfall, and E'_N's margin u (T + J Delta) L_N also covers it for L_N eta,
+since eta is a few ulps of T; so the computed constants stay upper bounds.
 
 E bounds the distance between a computed |value| and the exact modulus, on
 a line of m terms with cap sum |c_n| e^{-lambda_n sigma}, over a window with
@@ -268,24 +300,37 @@ def _line_block(t: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
     np.sin(phase.imag, out=phase.imag)
 
 
+def _vertical_block(weight: np.ndarray, t: np.ndarray, lam: np.ndarray, phase: np.ndarray) -> None:
+    """Fill phase with exp(-outer(x + i t, lam)) on one vertical line Re z = x:
+    the line block, each entry's cos and sin times e^{-x lambda_n}.
+
+    ``weight`` holds each e^{-x lambda_n} twice, (w_1, w_1, w_2, w_2, ...),
+    from libm's exp; glibc's complex exp multiplies the same cos and sin by
+    the same exp, so these are the bits of ``_exp_block`` at z = x + i t."""
+    _line_block(t, lam, phase)
+    flat = phase.view(float)
+    np.multiply(flat, weight, out=flat)
+
+
 def _block_rows(m: int) -> int:
     """Rows of a phase block over m >= 1 frequencies: at least two, so that a
     wide series is not summed on the one-row path, which doubles its block."""
     return max(2, _BLOCK_ENTRIES // m)
 
 
-def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block) -> None:
+def _phase_blocks(z: np.ndarray, lam: np.ndarray, work: Callable, fill=_exp_block, rows=None) -> None:
     """Call work(offset, exp(-outer(z[offset:offset + rows], lam))) for every block of z.
 
     ``fill(z_block, lam, phase)`` may build another block in place, in the
-    same complex buffer.  The blocks are striped over ``_WORKERS`` threads,
+    same complex buffer.  A block holds ``_block_rows(lam.size)`` rows unless
+    ``rows`` says otherwise.  The blocks are striped over ``_WORKERS`` threads,
     the calling one included; a call with one block starts no thread.
     ``fill`` and ``work`` may run concurrently with themselves.  ``work`` may
     overwrite ``phase`` in place but must not keep it, since the next block
     reuses its buffer.  The first exception raised in any worker is re-raised
     here once every worker has stopped.
     """
-    rows = _block_rows(lam.size)
+    rows = _block_rows(lam.size) if rows is None else rows
     starts = range(0, z.size, rows)
     workers = max(1, min(_WORKERS, len(starts)))
     errors = []
@@ -334,42 +379,127 @@ def _phase_sum(z: np.ndarray, lam: np.ndarray, amps: list, fill=_exp_block) -> l
     return out
 
 
+def _coarse(width: int, n: int) -> bool:
+    """Whether a whole grid of n points over ``width`` frequencies takes the
+    coarse pass: at least 2J terms and at least one block of fill."""
+    return width >= 2 * _STRIDE and width * n >= _BLOCK_ENTRIES
+
+
+def _reach(grid: LineGrid) -> float:
+    """T = max(|t_min|, |t_max|) of the rounding terms."""
+    return max(abs(grid.t_min), abs(grid.t_max))
+
+
+def _round_error(reach: float, lip, cap, m):
+    """E of the module docstring: of a line of m terms, or of every prefix
+    elementwise when lip, cap and m are per-N arrays."""
+    return 2.0 * _U * (reach * lip + (m + 8) * cap)
+
+
+def _shift_error(reach: float, step: float, lip, cap, m):
+    """E' of the module docstring, as ``_round_error`` takes its arguments."""
+    return 2.0 * _U * ((reach + _STRIDE * step) * lip + (m + 12) * cap)
+
+
+def _coarse_grid(grid: LineGrid, ts: np.ndarray, lam: np.ndarray) -> tuple:
+    """The coarse pass over ts, the whole grid of ``grid``: the J - 1 shift
+    rows e^{-i lambda s_j}, the centre mask (every J-th point and the last),
+    each point's eta and Delta."""
+    n = ts.size
+    shifts = (grid.t_max - grid.t_min) / (n - 1) * np.arange(_STRIDE)
+    block = np.empty((_STRIDE - 1, lam.size), dtype=complex)
+    _line_block(shifts[1:], lam, block)
+    offset = np.arange(n) % _STRIDE
+    centre = offset == 0
+    centre[-1] = True
+    eta = np.abs(ts - ts[np.arange(n) - offset] - shifts[offset]) + 2.0 * _U * _reach(grid)
+    return block, centre, eta, shifts[1]
+
+
 def _partial_sup_profile(
     D: DirichletSeries, grid: LineGrid, coeffs: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Grid sup of |S_N(sigma + it)| for every N at once.
 
-    One pass over the grid with a cumulative sum along the coefficient axis;
-    entry N-1 is the sup for the length-N partial sum.  ``coeffs``, a 2-D
-    stack of coefficient vectors over D's frequency, takes the place of
-    D.coeffs: the result has one row of sups per vector, from one build of
-    each phase block.
-
-    The products, their cumulative sum and its moduli are built in place, by
-    the same ufunc loops and in the same order as
-    ``np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)``.  Per worker this
-    holds the phase block plus one float block of moduli, taken afresh for
-    each block; a single vector folds in the phase block itself, while a
-    stack, whose members all read the same block, adds one complex block.
+    Entry N-1 is the sup for the length-N partial sum, with the bits of
+    ``np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0)`` over the whole
+    grid.  ``coeffs``, a 2-D stack of coefficient vectors over D's frequency,
+    takes the place of D.coeffs: the result has one row of sups per vector,
+    from one build of each phase block of the whole grid.  A single vector
+    past the coarse pass's floors folds only the centres whole and each asked
+    point over its prefix (the module docstring).  The products, sums and
+    moduli are built in place, in the phase block itself for a single vector.
     """
     lam = D.freq.values
-    amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * np.exp(-lam * grid.sigma)
+    m = lam.size
+    w = np.exp(-lam * grid.sigma)
+    amps = np.atleast_2d(D.coeffs if coeffs is None else coeffs) * w
     sups = np.zeros(amps.shape)
     lock = threading.Lock()
+    ts = grid.points()
 
-    def fold(_, phase):
-        mag = np.empty(phase.shape)
-        part = phase if coeffs is None else np.empty_like(phase)
+    def fold(phase, part, mag):
+        # a column max is exact and order-free, so blocks may fold in any order
+        width = phase.shape[1]
         for amp, sup in zip(amps, sups):
-            np.multiply(phase, amp, out=part)
+            np.multiply(phase, amp[:width], out=part)
             np.cumsum(part, axis=1, out=part)
             colmax = np.abs(part, out=mag).max(axis=0)
-            # a column max is exact and order-free, so blocks may fold in any order
             with lock:
-                np.maximum(sup, colmax, out=sup)
+                np.maximum(sup[:width], colmax, out=sup[:width])
 
-    _phase_blocks(grid.points(), lam, fold, _line_block)
-    return sups[0] if coeffs is None else sups
+    def whole(_, phase):
+        fold(phase, phase if coeffs is None else np.empty_like(phase), np.empty(phase.shape))
+
+    # a stack's members would each run the bound pass over shared centres,
+    # which measured slower than folding the whole grid once for all of them
+    if coeffs is not None or not _coarse(m, ts.size):
+        _phase_blocks(ts, lam, whole, _line_block)
+        return sups[0] if coeffs is None else sups
+    block, centre, eta, step = _coarse_grid(grid, ts, lam)
+    at = np.flatnonzero(centre)
+    _phase_blocks(ts[at], lam, whole, _line_block)
+    (amp,), (best,) = amps, sups.copy()
+    # the shifted rows, and per N u (1 + 1e-12) + 2E_N less |a~| (1 + 1e-12)
+    shifted = np.multiply(block, amp, out=block)
+    mods = np.abs(D.coeffs) * w
+    cap, lip, count = np.cumsum(mods), np.cumsum(mods * lam), np.arange(1, m + 1)
+    reach = _reach(grid)
+    slack = (_shift_error(reach, step, lip, cap, count) + lip * eta.max()) * (1.0 + 1e-12)
+    slack += 2.0 * _round_error(reach, lip, cap, count)
+
+    def bounded(lo, phase):
+        part, mag = np.empty_like(phase), np.empty(phase.shape)
+        # K_i by shift and centre: the largest N that asks for the point
+        asks = np.zeros((_STRIDE - 1, phase.shape[0]), dtype=np.intp)
+        for K, row in zip(asks, shifted):
+            np.multiply(phase, row, out=part)
+            np.cumsum(part, axis=1, out=part)
+            np.abs(part, out=mag)
+            mag *= 1.0 + 1e-12
+            mag += slack
+            # a nan bound proves nothing, so its entry asks
+            i, N = np.divmod(np.flatnonzero(~(mag < best)), m)
+            np.maximum.at(K, i, N + 1)
+        points = at[lo : lo + phase.shape[0]] + np.arange(1, _STRIDE)[:, None]
+        asks[points >= ts.size - 1] = 0
+        ks, points = asks[asks > 0], points[asks > 0]
+        # widest prefix first; a chunk is filled over its first prefix, so it
+        # ends where the prefixes halve, or where the buffer is full
+        order = np.argsort(-ks, kind="stable")
+        ks, points = ks[order], points[order]
+        start = 0
+        while start < ks.size:
+            width = int(ks[start])
+            stop = min(start + part.size // width, np.searchsorted(-ks, -((width + 1) // 2), "right"))
+            shape = (stop - start, width)
+            rows, moduli = (buf.ravel()[: math.prod(shape)].reshape(shape) for buf in (part, mag))
+            _line_block(ts[points[start:stop]], lam[:width], rows)
+            fold(rows, rows, moduli)
+            start = stop
+
+    _phase_blocks(ts[at], lam, bounded, _line_block, _block_rows(2 * m))
+    return sups[0]
 
 
 def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] = None) -> list:
@@ -381,9 +511,19 @@ def _eval_line(D: DirichletSeries, amps: list, ts: np.ndarray, N: Optional[int] 
 
 
 def _eval_points(D: DirichletSeries, s) -> Union[complex, np.ndarray]:
-    """The full sum D(s) at a scalar s, or at every point of a 1-D array s."""
+    """The full sum D(s) at a scalar s, or at every point of a 1-D array s.
+
+    Points on one vertical line Re s = x >= 0 take ``_vertical_block`` past
+    2J terms; other points, and fewer terms, take the complex exp."""
     z = np.asarray(s, dtype=complex)
-    (out,) = _phase_sum(z.ravel(), D.freq.values, [D.coeffs])
+    flat, lam = z.ravel(), D.freq.values
+    x = flat.real[0] if flat.size else math.nan
+    if lam.size >= 2 * _STRIDE and 0.0 <= x < math.inf and np.all(flat.real == x):
+        # libm's exp, as the complex exp takes it at a zero imaginary part
+        weight = np.repeat(np.exp(-x * lam + 0j).real, 2)
+        (out,) = _phase_sum(flat.imag, lam, [D.coeffs], partial(_vertical_block, weight))
+    else:
+        (out,) = _phase_sum(flat, lam, [D.coeffs])
     return complex(out[0]) if z.ndim == 0 else out
 
 
@@ -465,8 +605,8 @@ def _refine_lines(
     """
     lam = D.freq.values
     terms = [_line_terms(lam[: len(c)], c, sigma) for c, sigma in lines]
-    reach = max(abs(grid.t_min), abs(grid.t_max))
-    bounds = [(lip, 2.0 * _U * (reach * lip + (amp.size + 8) * cap)) for amp, cap, lip in terms]
+    reach = _reach(grid)
+    bounds = [(lip, _round_error(reach, lip, cap, amp.size)) for amp, cap, lip in terms]
     # each line's u over the last grid: its |value| where evaluated, else its bound
     upper = {}
 
@@ -482,30 +622,24 @@ def _refine_lines(
             centre = np.zeros(ts.size, dtype=bool)
             us = [np.minimum(upper[j][:-1] + bounds[j][0] * d_l, upper[j][1:] + bounds[j][0] * d_r) for j in live]
             tops = list(best.values())
-        elif width < 2 * _STRIDE or width * n < _BLOCK_ENTRIES:
+        elif not _coarse(width, n):
             vals = [np.abs(row) for row in _eval_line(D, amps, ts, width)]
             upper.update(zip(live, vals))
             return ts, vals
         else:
             # the shifted centres of the coarse pass anchor every point
-            shifts = (grid.t_max - grid.t_min) / (n - 1) * np.arange(_STRIDE)
-            block = np.empty((_STRIDE - 1, width), dtype=complex)
-            _line_block(shifts[1:], lam[:width], block)
+            block, centre, eta, step = _coarse_grid(grid, ts, lam[:width])
             rows_in = []
             for k, amp in enumerate(amps):
                 # the last line scales the shift rows in place, the others a copy
                 scaled = block[:, : amp.size]
                 rows_in += [amp, *np.multiply(scaled, amp, out=scaled if k == len(amps) - 1 else None)]
-            offset = np.arange(n) % _STRIDE
-            centre = offset == 0
-            centre[-1] = True
-            eta = np.abs(ts - ts[np.arange(n) - offset] - shifts[offset]) + 2.0 * _U * reach
             near = _eval_line(D, rows_in, ts[centre], width)
             us, tops = [], []
             for k, j in enumerate(live):
                 amp, cap, lip = terms[j]
                 moduli = np.abs(near[k * _STRIDE : (k + 1) * _STRIDE])
-                err_shift = 2.0 * _U * ((reach + _STRIDE * shifts[1]) * lip + (amp.size + 12) * cap)
+                err_shift = _shift_error(reach, step, lip, cap, amp.size)
                 # |value| at each multiple of J, and |shifted value| at the points after it
                 u = moduli[:, : -(-n // _STRIDE)].T.ravel()[:n] + err_shift + lip * eta
                 u[centre] = moduli[0]

@@ -382,6 +382,25 @@ def test_partial_sup_profile_memory_is_a_phase_and_a_float_block_per_worker(monk
     assert peak < 6e6
 
 
+def test_partial_sup_profile_coarse_pass_peaks_below_a_halfplane_norm(monkeypatch):
+    # past its floors the fold holds per worker a half-height block of centre
+    # phases, one of shifted sums and one of their moduli, and no bound per
+    # point: 3.4 to 3.7 MB at M = 2000, below the 4.56 MB at which
+    # halfplane_norm peaks on log with M = 2000 ones
+    monkeypatch.setattr(series_module, "_WORKERS", 2)
+    rng = np.random.default_rng(0)
+    seeded = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    for kind, coeffs in (("log", np.ones(2000)), ("log", seeded), ("linear", seeded)):
+        D = DirichletSeries(make_frequency(kind, 2000), coeffs)
+        tracemalloc.start()
+        try:
+            _partial_sup_profile(D, LineGrid(0.0, 0.0, 100.0, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.56e6
+
+
 def test_sigma_u_with_two_ratios_is_inconclusive():
     # lambda_1 = log 1 = 0 forms no ratio, which leaves N = 2, 3: too few for a trend
     D = DirichletSeries(make_frequency("log", 3), np.ones(3))

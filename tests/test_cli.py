@@ -364,6 +364,15 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     # a zero step of N is named as such, not left to range()
     assert run(["bound", "profile", "--kind", "log", "--n", "60", "--regime", "bc", "--n-step", "0"]) == 2
     assert capsys.readouterr().err == "error: the step of N must not be 0\n"
+    # N counts the points of the refined frequency, and the message says so
+    argv = ["bound", "profile", "--kind", "custom-from-list", "--n", "3", "--params", "0", "5", "10",
+            "--regime", "bc", "--n-stop", "20"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: need 1 <= N < M = 11 (the bound uses lambda_(N+1); the 3 given values were refined to 11 points)\n"
+    )
     # a zero length is named as such, from a flag and from a descriptor
     zero = tmp_path / "zero.json"
     zero.write_text('{"frequency": {"kind": "linear", "m": 0}, "coefficients": "ones"}')

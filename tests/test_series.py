@@ -46,6 +46,7 @@ from gdseries.series import (
     _phase_sum,
     _refine_lines,
     _refine_max,
+    _vertical_block,
 )
 
 
@@ -1036,6 +1037,87 @@ def test_partial_sup_profile_folds_in_place_to_the_one_shot_bits(monkeypatch):
                 assert np.array_equal(_partial_sup_profile(D, grid), one_shot[0])
                 for row, want in zip(_partial_sup_profile(D, grid, coeffs), one_shot):
                     assert np.array_equal(row, want)
+
+
+# (M, points): for a single vector the first of each pair takes the coarse
+# pass, the second the whole-grid fold; M = 16 with 4096 points and M = 64
+# with 1024 fill one block
+_FOLD_SIZES = [(16, 4096), (16, 4095), (17, 3900), (15, 4400), (64, 1024), (64, 1023)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([k for k in BUILTIN_KINDS if k != "custom-from-list"] + ["random"]),
+    size=st.sampled_from(_FOLD_SIZES),
+    sigma=st.sampled_from([0.0, 1e-3, 0.5]),
+    t_min=st.sampled_from([-30.0, 0.0, 7.3]),
+    step=st.floats(0.01, 0.1),
+    # a window this many steps past the last whole step: the step does not divide it
+    overshoot=st.sampled_from([0.0, 0.3]),
+    coeffs=st.sampled_from(["ones", "normal", "stack"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="log", size=(16, 4096), sigma=0.0, t_min=0.0, step=0.05, overshoot=0.0, coeffs="ones", seed=0)
+@example(kind="log", size=(64, 1024), sigma=0.0, t_min=-30.0, step=0.05, overshoot=0.3, coeffs="ones", seed=0)
+@example(kind="random", size=(17, 3900), sigma=1e-3, t_min=7.3, step=0.07, overshoot=0.3, coeffs="stack", seed=5)
+@example(kind="linear", size=(64, 1024), sigma=0.5, t_min=-30.0, step=0.03, overshoot=0.0, coeffs="normal", seed=2)
+def test_partial_sup_profile_keeps_the_one_shot_bits(kind, size, sigma, t_min, step, overshoot, coeffs, seed):
+    # ones on log peak at t = 0 for every N: at a centre from t_min = 0, else
+    # between grid points; a stack folds the whole grid for all its members
+    M, points = size
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        freq = Frequency(np.sort(rng.uniform(0.0, 40.0, M)))
+    else:
+        freq = make_frequency(kind, M)
+    stack = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+    if coeffs == "ones":
+        stack = np.ones((1, M), dtype=complex)
+    grid = LineGrid(sigma, t_min, t_min + (points - 1 + overshoot) * step, step)
+    ts, lam = grid.points(), freq.values
+    assert ts.size == points
+    phase = np.exp(-1j * np.outer(ts, lam))
+    want = [np.abs(np.cumsum(phase * amp, axis=1)).max(axis=0) for amp in stack * np.exp(-lam * sigma)]
+    D = DirichletSeries(freq, stack[0])
+    assert _partial_sup_profile(D, grid).view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    if coeffs == "stack":
+        got = _partial_sup_profile(D, grid, stack)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def test_partial_sup_profile_fills_centres_twice_and_asked_prefixes(monkeypatch):
+    # ones on log peak at the centre t = 0 for every N, so past the 2 x 251
+    # centre rows only the prefixes its near ties ask for are filled
+    D = DirichletSeries(make_frequency("log", 2000), np.ones(2000))
+    filled = []
+    line_block = series_module._line_block
+
+    def counting(t, lam, phase):
+        filled.append(phase.size)
+        line_block(t, lam, phase)
+
+    monkeypatch.setattr(series_module, "_line_block", counting)
+    _partial_sup_profile(D, LineGrid(0.0, 0.0, 100.0, 0.05))
+    # the 7 shift rows, then 251 centres folded and bounded over 2000 terms
+    assert filled[0] == 7 * 2000
+    assert sum(filled[1:]) < 2 * 251 * 2000 + 20_000
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 1000])
+def test_vertical_block_equals_the_complex_exp(M):
+    # lambda_1 = 0 on log and linear; the window holds t < 0 and t = 0
+    t = LineGrid(0.0, -300.0, 300.0, 3.0).points()
+    for kind in ("log", "logprimes", "linear", "sqrtlog"):
+        lam = make_frequency(kind, M).values
+        for x in (0.0, 1e-3, 0.5, 1.0, 2.7):
+            phase = np.empty((t.size, M), dtype=complex)
+            _vertical_block(np.repeat(np.exp(-x * lam + 0j).real, 2), t, lam, phase)
+            assert (phase == np.exp(-np.outer(x + 1j * t, lam))).all()
+    # and a self reference on a vertical line sums it to the complex exp's bits
+    D = _seeded("log", max(M, 16), 8)
+    s = 0.5 + 1j * t
+    want = _phase_sum(s, D.freq.values, [D.coeffs])[0]
+    assert _eval_points(D, s).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _csv(tmp_path, text):
